@@ -13,29 +13,22 @@
 //! 3. **Figure sweeps** — the independent Fig. 3(b)/4/5 scenario points
 //!    executed on `std::thread` workers, reporting per-point wall time,
 //!    the per-figure worker count actually used, and the
-//!    parallel-runner gain over serial execution. The Fig. 5 sweep runs
-//!    its systems under `SchedulerMode::Sharded` (single-interconnect
-//!    plans fall through to the exact fast-forward path, so the numbers
-//!    are unchanged — the sweep exercises the sharded dispatch).
+//!    parallel-runner gain over serial execution.
 //! 4. **100-node tree** — the [`bench::tree100`] scenario run under the
-//!    sequential fast-forward oracle and then `SchedulerMode::Sharded`
-//!    at a worker sweep; every sharded run is asserted byte-identical
-//!    (and must report zero ambiguous entry-gate stalls), and
-//!    `parallel_speedup` is the oracle wall time over the best sharded
-//!    wall time at ≥ 2 workers. On few-core hosts the win comes from
-//!    the sharded executor fast-forwarding idle shards *locally* while
-//!    the busy shard pins the global clock — a real algorithmic
-//!    speedup, not a thread-count artifact.
+//!    naive oracle and then under activity-driven fast-forward, which
+//!    is asserted byte-identical; `speedup` is the naive wall time over
+//!    the fast-forward wall time. Whole cycles are almost never idle
+//!    there, so the gain is fast-forward sleeping idle subtrees and
+//!    idle accelerators inside busy cycles.
 //!
 //! Usage: `perf [--quick | --full] [--out PATH] [--workers N]
 //! [--min-cycles-per-sec N]`
 //!
-//! `--workers N` sizes both the figure-sweep thread pool and the
-//! sharded worker sweep (default: available parallelism, and the
-//! sharded sweep always includes 2 workers).
+//! `--workers N` sizes the figure-sweep thread pool (default: available
+//! parallelism).
 //!
-//! Exits non-zero if the Fig. 3(a) goldens regress, a sharded tree run
-//! diverges from the sequential oracle, or the fast-forward idle-heavy
+//! Exits non-zero if the Fig. 3(a) goldens regress, the fast-forward
+//! tree run diverges from the naive oracle, or the fast-forward idle-heavy
 //! throughput falls below the `--min-cycles-per-sec` floor (the CI
 //! perf-smoke gate).
 
@@ -593,23 +586,18 @@ fn main() {
     }
     let fig4_report = run_parallel("fig4", "default", pool_workers, fig4_points);
 
-    // The Fig. 5 sweep runs its systems under the sharded dispatch
-    // path (exact single-shard fallback — the bars are unchanged).
-    let fig5_mode = SchedulerMode::Sharded {
-        workers: pool_workers.max(2),
-    };
     let mut fig5_points: Vec<Point> = vec![
         Point {
             name: "isolation".into(),
             run: Box::new(move || {
-                fig5::isolation_mode(window, fig5_mode);
+                fig5::isolation(window);
                 2 * window
             }),
         },
         Point {
             name: "sc_contention".into(),
             run: Box::new(move || {
-                fig5::smartconnect_contention_mode(window, fig5_mode);
+                fig5::smartconnect_contention(window);
                 window
             }),
         },
@@ -618,12 +606,12 @@ fn main() {
         fig5_points.push(Point {
             name: format!("hc_{share}_{}", 100 - share),
             run: Box::new(move || {
-                fig5::hyperconnect_contention_mode(share, window, fig5_mode);
+                fig5::hyperconnect_contention(share, window);
                 window
             }),
         });
     }
-    let fig5_report = run_parallel("fig5", "sharded", pool_workers, fig5_points);
+    let fig5_report = run_parallel("fig5", "default", pool_workers, fig5_points);
 
     for report in [&fig3b_report, &fig4_report, &fig5_report] {
         println!(
@@ -640,53 +628,23 @@ fn main() {
         );
     }
 
-    // 5. The 100-node tree: sequential fast-forward oracle, then the
-    // sharded executor at a worker sweep, byte-identity enforced.
+    // 5. The 100-node tree: naive oracle, then activity-driven
+    // fast-forward, byte-identity enforced.
+    let tree_naive = tree100::run(SchedulerMode::Naive, tree_cycles);
     let tree_seq = tree100::run(SchedulerMode::FastForward, tree_cycles);
+    let naive_cps = tree_cycles as f64 / (tree_naive.wall_ms / 1e3).max(1e-9);
     let seq_cps = tree_cycles as f64 / (tree_seq.wall_ms / 1e3).max(1e-9);
+    let tree_speedup = tree_naive.wall_ms / tree_seq.wall_ms.max(1e-9);
+    let tree_identical = tree_seq.fingerprint == tree_naive.fingerprint;
     println!(
-        "tree100 ({} nodes, {tree_cycles} cycles): sequential {:.1} ms ({seq_cps:.2e} c/s, \
-         {} skipped)",
+        "tree100 ({} nodes, {tree_cycles} cycles): fast-forward {:.1} ms ({seq_cps:.2e} c/s, \
+         {} skipped), naive {:.1} ms ({naive_cps:.2e} c/s), {tree_speedup:.2}x{}",
         tree100::node_count(),
         tree_seq.wall_ms,
-        tree_seq.skipped
+        tree_seq.skipped,
+        tree_naive.wall_ms,
+        if tree_identical { "" } else { " — DIVERGED" }
     );
-    let mut sweep: Vec<usize> = vec![1, 2, 4];
-    if let Some(w) = workers_override {
-        if !sweep.contains(&w) {
-            sweep.push(w);
-        }
-    }
-    let mut tree_runs: Vec<(usize, tree100::TreeRun)> = Vec::new();
-    let mut tree_identical = true;
-    for &workers in &sweep {
-        let run = tree100::run(SchedulerMode::Sharded { workers }, tree_cycles);
-        let rep = run.report.expect("sharded run reports");
-        let identical = run.fingerprint == tree_seq.fingerprint && rep.ambiguous_stalls == 0;
-        tree_identical &= identical;
-        println!(
-            "tree100 sharded w={workers}: {:.1} ms ({:.2}x), {} shards, window {}, \
-             {} rounds, {} engine-skipped, {} msgs, {} stalls{}",
-            run.wall_ms,
-            tree_seq.wall_ms / run.wall_ms.max(1e-9),
-            rep.shards,
-            rep.window,
-            rep.rounds,
-            rep.engine_skipped,
-            rep.messages,
-            rep.ambiguous_stalls,
-            if identical { "" } else { " — DIVERGED" }
-        );
-        tree_runs.push((workers, run));
-    }
-    let (tree_workers, tree_best) = tree_runs
-        .iter()
-        .filter(|(w, _)| *w >= 2)
-        .min_by(|a, b| a.1.wall_ms.total_cmp(&b.1.wall_ms))
-        .map(|(w, r)| (*w, r.wall_ms))
-        .expect("sweep includes a multi-worker run");
-    let tree_speedup = tree_seq.wall_ms / tree_best.max(1e-9);
-    let workers = pool_workers.max(tree_workers);
 
     // 6. Emit BENCH_simulator.json.
     let figures_json = [&fig3b_report, &fig4_report, &fig5_report]
@@ -711,32 +669,12 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",");
-    let tree_sharded_json = tree_runs
-        .iter()
-        .map(|(w, r)| {
-            let rep = r.report.expect("sharded run reports");
-            format!(
-                "{{\"workers\":{w},\"wall_ms\":{:.3},\"shards\":{},\"window\":{},\
-                 \"rounds\":{},\"engine_skipped\":{},\"messages\":{},\
-                 \"ambiguous_stalls\":{},\"byte_identical\":{}}}",
-                r.wall_ms,
-                rep.shards,
-                rep.window,
-                rep.rounds,
-                rep.engine_skipped,
-                rep.messages,
-                rep.ambiguous_stalls,
-                r.fingerprint == tree_seq.fingerprint
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
     let obs_report = report.to_json();
     let json = format!(
         "{{\n\
          \"schema\":\"axi-hyperconnect/bench-simulator/v1\",\n\
          \"mode\":\"{mode}\",\n\
-         \"workers\":{workers},\n\
+         \"workers\":{pool_workers},\n\
          \"fig3a\":{{\"wall_ms\":{fig3a_wall_ms:.3},\"goldens_ok\":{goldens_ok}}},\n\
          \"idle_heavy\":{{\"scenario\":\"single 256 KiB x4 DMA reader vs zcu102, {idle_window}-cycle window\",\
          \"sim_cycles\":{idle_window},\
@@ -768,11 +706,10 @@ fn main() {
          \"nodes\":{},\"sim_cycles\":{tree_cycles},\
          \"sequential_wall_ms\":{:.3},\"sequential_cycles_per_sec\":{seq_cps:.0},\
          \"sequential_skipped\":{},\
-         \"workers\":{tree_workers},\"parallel_speedup\":{tree_speedup:.3},\
-         \"speedup_basis\":\"sequential fast-forward oracle wall time over best sharded wall \
-         time at >= 2 workers; on few-core hosts the gain is the sharded executor's decoupled \
-         per-shard fast-forward, not thread throughput\",\
-         \"sharded\":[{tree_sharded_json}]}},\n\
+         \"naive_wall_ms\":{:.3},\"naive_cycles_per_sec\":{naive_cps:.0},\
+         \"speedup\":{tree_speedup:.3},\"byte_identical\":{tree_identical},\
+         \"speedup_basis\":\"naive oracle wall time over activity-driven fast-forward wall \
+         time, one thread\"}},\n\
          \"peak_rss_kb\":{}\n\
          }}\n",
         tree100::node_count(),
@@ -780,6 +717,7 @@ fn main() {
         tree100::node_count(),
         tree_seq.wall_ms,
         tree_seq.skipped,
+        tree_naive.wall_ms,
         peak_rss_kb()
     );
     std::fs::write(&out_path, json).expect("write BENCH_simulator.json");
@@ -791,7 +729,7 @@ fn main() {
         std::process::exit(1);
     }
     if !tree_identical {
-        eprintln!("FAIL: a sharded tree100 run diverged from the sequential oracle");
+        eprintln!("FAIL: the fast-forward tree100 run diverged from the naive oracle");
         std::process::exit(1);
     }
     if report.violations > 0 {

@@ -1,32 +1,29 @@
-//! The 100-node tree scenario: the sharded scheduler's showcase.
+//! The 100-node tree scenario: a sparse cascade of accelerator
+//! clusters.
 //!
 //! Seven accelerator clusters hang off a single root HyperConnect, each
 //! behind a deeply registered [`axi::AxiBridge`] (latency
 //! [`BRIDGE_LATENCY`]), for 100 nodes total: 1 memory + 1 root + 7
 //! cluster interconnects + 91 accelerators. Cluster 0 carries thirteen
 //! random-traffic masters whose staggered bursts keep the cluster
-//! active nearly every cycle — pinning the global clock so the
-//! sequential schedulers can never skip — while staying below the
-//! bridge's beat-per-cycle capacity (a saturated cut lives in the
-//! entry gates' ambiguity band, outside the exactness envelope; the
-//! paper's reservation model keeps real designs below saturation for
-//! the same reason). The other six clusters carry periodic readers
-//! with long, staggered idle gaps.
+//! active nearly every cycle — so whole cycles are almost never idle
+//! and the global fast-forward jump never fires — while staying below
+//! the bridge's beat-per-cycle capacity. The other six clusters carry
+//! periodic readers with long, staggered idle gaps.
 //!
-//! That shape is exactly where conservative-lookahead sharding wins
-//! even on a single core: the sequential fast-forward scheduler must
-//! tick all 100 nodes every cycle (the busy cluster holds the global
-//! horizon at `now + 1`), while the sharded executor ticks the busy
-//! shard and fast-forwards the six idle shards *locally* inside each
-//! exchange window. The speedup reported by the `perf` bin is measured
-//! wall clock against the sequential fast-forward oracle, and every
-//! sharded run is checked byte-identical against it.
+//! Almost every node is idle on almost every cycle, which makes this
+//! the scenario for activity-driven scheduling: fast-forward sleeps
+//! the six idle cluster subtrees and the idle masters of the busy
+//! cluster until their wake cycles, while the busy cluster keeps the
+//! clock ticking. The `perf` bin reports its wall clock against the
+//! naive oracle, and every fast-forward run is checked byte-identical
+//! against it.
 
 use std::time::Instant;
 
 use axi::types::BurstSize;
 use axi::BridgeConfig;
-use axi_hyperconnect::{SchedulerMode, ShardRunReport, SocTopology, TopologyBuilder};
+use axi_hyperconnect::{SchedulerMode, SocTopology, TopologyBuilder};
 use ha::traffic::{PeriodicReader, RandomTraffic};
 use ha::Accelerator;
 use hyperconnect::{HcConfig, HyperConnect};
@@ -39,8 +36,7 @@ pub const CLUSTERS: usize = 7;
 /// Accelerators per cluster.
 pub const ACCS_PER_CLUSTER: usize = 13;
 
-/// Latency of every root→cluster bridge — and therefore the sharded
-/// exchange window. Deep enough to amortize the per-round barriers.
+/// Latency of every root→cluster bridge: a deep register-slice chain.
 pub const BRIDGE_LATENCY: Cycle = 32;
 
 /// Default measurement window for the perf harness.
@@ -72,9 +68,7 @@ pub fn build(mode: SchedulerMode) -> SocTopology {
             )
             .unwrap();
         // Deep elastic staging: headroom above the default port
-        // capacities so burst collisions never pin a pipe at capacity
-        // (which would put the sharded entry gates in their ambiguity
-        // band and void the byte-identity proof).
+        // capacities so burst collisions never pin a pipe at capacity.
         let bridge = BridgeConfig {
             addr_capacity: 32,
             data_capacity: 256,
@@ -88,10 +82,10 @@ pub fn build(mode: SchedulerMode) -> SocTopology {
             let name = format!("a{acc_idx}");
             let acc: Box<dyn Accelerator> = if c == 0 {
                 // The busy cluster: thirteen random masters whose
-                // staggered short bursts keep the shard active nearly
+                // staggered short bursts keep the cluster active nearly
                 // every cycle at ~0.3 beats/cycle aggregate — well
-                // under the cut's 1 beat/cycle, so the bridge pipes
-                // never fill.
+                // under the bridge's 1 beat/cycle, so its pipes never
+                // fill.
                 Box::new(RandomTraffic::new(
                     &name,
                     base,
@@ -103,7 +97,8 @@ pub fn build(mode: SchedulerMode) -> SocTopology {
                 ))
             } else {
                 // Idle clusters: short periodic bursts separated by
-                // long, staggered gaps — the local fast-forward target.
+                // long, staggered gaps — the subtrees fast-forward
+                // puts to sleep.
                 Box::new(PeriodicReader::new(
                     &name,
                     base,
@@ -161,8 +156,6 @@ pub struct TreeRun {
     pub fingerprint: String,
     /// Cycles the scheduler fast-forwarded.
     pub skipped: Cycle,
-    /// The sharded executor's report (`None` for sequential modes).
-    pub report: Option<ShardRunReport>,
 }
 
 /// Builds and runs the tree for `cycles` under `mode`, returning the
@@ -176,7 +169,6 @@ pub fn run(mode: SchedulerMode, cycles: Cycle) -> TreeRun {
         wall_ms,
         fingerprint: fingerprint(&mut topo),
         skipped: topo.skipped_cycles(),
-        report: topo.shard_run_report().copied(),
     }
 }
 
@@ -185,25 +177,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tree_has_one_hundred_nodes_and_a_shard_per_cluster() {
+    fn tree_has_one_hundred_nodes() {
         let topo = build(SchedulerMode::FastForward);
         assert_eq!(topo.num_nodes(), node_count());
         assert_eq!(node_count(), 100);
-        let plan = topo.shard_plan();
-        assert_eq!(plan.shards.len(), CLUSTERS + 1);
-        assert_eq!(plan.window, Some(BRIDGE_LATENCY));
     }
 
     #[test]
-    fn sharded_run_is_byte_identical_to_sequential() {
+    fn fast_forward_run_is_byte_identical_to_naive() {
         const CYCLES: Cycle = 30_000;
-        let seq = run(SchedulerMode::FastForward, CYCLES);
-        for workers in [2, 4] {
-            let sh = run(SchedulerMode::Sharded { workers }, CYCLES);
-            assert_eq!(seq.fingerprint, sh.fingerprint, "workers={workers}");
-            let rep = sh.report.expect("sharded run reports");
-            assert_eq!(rep.ambiguous_stalls, 0);
-            assert_eq!(rep.window, BRIDGE_LATENCY);
-        }
+        let naive = run(SchedulerMode::Naive, CYCLES);
+        let fast = run(SchedulerMode::FastForward, CYCLES);
+        assert_eq!(naive.fingerprint, fast.fingerprint);
     }
 }

@@ -39,11 +39,17 @@ use sim::Cycle;
 /// A bus master occupying one interconnect slave port.
 ///
 /// `Send` is a supertrait: accelerator models are plain owned data, and
-/// requiring it lets the sharded scheduler move the shard that owns a
-/// model onto a worker thread.
+/// requiring it lets a whole simulated system move onto a worker thread
+/// (the campaign fork pool runs one system per thread).
 pub trait Accelerator: std::any::Any + Send {
     /// Advances the accelerator one cycle against its port. Returns
     /// `true` if any state changed.
+    ///
+    /// A tick returning `false` must not change state, for this
+    /// accelerator on its own: the activity-driven scheduler skips its
+    /// ticks while the port's activity is unchanged and the wake cycle
+    /// from [`Self::next_event`] and the port's pending R/B beats lies
+    /// in the future.
     fn tick(&mut self, now: Cycle, port: &mut AxiPort) -> bool;
 
     /// Short human-readable name for reports.

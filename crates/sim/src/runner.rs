@@ -9,13 +9,18 @@ use crate::clock::Cycle;
 /// (e.g. a protocol bug where two FIFOs wait on each other forever).
 ///
 /// `Send` is a supertrait: models are plain owned data (no `Rc`, no
-/// thread-local handles), and requiring it here is what lets the
-/// sharded scheduler (see [`crate::parallel`]) move whole subtrees of
-/// components onto worker threads.
+/// thread-local handles), so a whole simulated system can move onto a
+/// worker thread (the campaign fork pool runs one system per thread).
 pub trait Component: Send {
     /// Advances the component by one cycle. Returns `true` if any state
     /// changed (a beat moved, a counter advanced toward an observable
     /// event) — used for deadlock detection.
+    ///
+    /// A tick returning `false` must not change state. This holds for
+    /// each component on its own, not only for a whole system: the
+    /// activity-driven scheduler skips a node's ticks while its inputs
+    /// are unchanged and [`Self::next_event`] lies in the future, even
+    /// while other nodes keep making progress.
     fn tick(&mut self, now: Cycle) -> bool;
 
     /// Event-horizon hint: the earliest future cycle at which this

@@ -94,15 +94,6 @@ impl<I: AxiInterconnect + 'static> SocSystem<I> {
         self.topo.skipped_cycles()
     }
 
-    /// Execution statistics of the most recent run under
-    /// [`SchedulerMode::Sharded`]. The facade is a single-interconnect
-    /// (single-shard) topology, so a sharded run reports the sequential
-    /// fallback; the accessor exists so harnesses can treat flat and
-    /// tree systems uniformly.
-    pub fn shard_run_report(&self) -> Option<&crate::ShardRunReport> {
-        self.topo.shard_run_report()
-    }
-
     /// Starts recording a beat-level waveform (VCD) at the FPGA-PS
     /// boundary; retrieve it with [`Self::waveform_vcd`].
     pub fn attach_waveform(&mut self) {
@@ -235,24 +226,10 @@ impl<I: AxiInterconnect + 'static> SocSystem<I> {
     /// (only the known-no-op ticks are elided). After each invocation a
     /// mutation fingerprint detects hooks that move beats or rewrite
     /// control registers, and ticking resumes immediately when one does.
-    pub fn run_for_with(&mut self, cycles: Cycle, mut hook: impl FnMut(Cycle, &mut Self)) {
+    /// See [`SocTopology::run_for_with`].
+    pub fn run_for_with(&mut self, cycles: Cycle, hook: impl FnMut(Cycle, &mut Self)) {
         let end = self.topo.now() + cycles;
-        while self.topo.now() < end {
-            let t = self.topo.now();
-            let progress = self.topo.tick(t);
-            if progress || !self.topo.fast_forward_active() {
-                hook(t, self);
-                continue;
-            }
-            let target = self.topo.skip_target(t, end);
-            let fingerprint = self.topo.mutation_fingerprint();
-            hook(t, self);
-            while self.topo.now() < target && self.topo.mutation_fingerprint() == fingerprint {
-                let skipped = self.topo.now();
-                self.topo.note_skipped(skipped + 1);
-                hook(skipped, self);
-            }
-        }
+        SocTopology::drive(self, |s| &mut s.topo, end, false, Some(hook));
     }
 
     /// Runs until every finite accelerator reports done (at most

@@ -14,7 +14,7 @@
 //!   [`TopologyError`] instead of a panic deep inside a tick loop;
 //! * [`SocTopology`] — the built system: a deterministic tick engine
 //!   over the tree (post-order: leaves before parents, bridges between
-//!   them), the event-horizon fast-forward scheduler, per-instance
+//!   them), the activity-driven fast-forward scheduler, per-instance
 //!   metrics namespacing, and the fault-injection/hypervisor hooks of
 //!   the flat `SocSystem`, which is now a thin facade over this graph.
 //!
@@ -23,8 +23,6 @@
 //! behaves exactly like a direct wire (the hierarchy conformance test
 //! pins this cycle-for-cycle), latency N adds exactly N cycles each
 //! way.
-
-mod shard;
 
 use std::any::Any;
 
@@ -35,37 +33,23 @@ use mem::MemoryController;
 use sim::vcd::{SignalId, VcdWriter};
 use sim::{ClockConfig, Component, Cycle};
 
-pub use shard::{ShardCut, ShardPlan, ShardRunReport};
-
 /// How a [`SocTopology`] (and the `SocSystem` facade) advances
 /// simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
-    /// Event-horizon scheduling: when a full-system tick makes no
-    /// progress, jump `now` directly to the earliest cycle any component
-    /// promises activity at (its [`Component::next_event`] hint),
-    /// skipping the provably idle span. Cycle-exact with respect to
-    /// [`SchedulerMode::Naive`]: components may under-promise but never
-    /// over-promise, and no observable state advances on skipped cycles.
+    /// Activity-driven scheduling. Within a cycle, a cascaded subtree
+    /// or an accelerator whose last tick made no progress sleeps until
+    /// its wake cycle (the earliest [`Component::next_event`] hint in
+    /// it) unless its inputs move first; when a whole cycle makes no
+    /// progress, `now` jumps straight to the earliest hint in the
+    /// system. Cycle-exact with respect to [`SchedulerMode::Naive`]:
+    /// components may under-promise but never over-promise, and a tick
+    /// that makes no progress changes no state.
     #[default]
     FastForward,
-    /// Plain cycle-by-cycle stepping — the reference behavior the
-    /// equivalence tests pin fast-forward against.
+    /// Plain cycle-by-cycle stepping of every node — the reference
+    /// behavior the equivalence tests pin fast-forward against.
     Naive,
-    /// Sharded parallel execution: partition the forest at registered
-    /// (latency ≥ 1) bridge boundaries, run each shard on its own
-    /// worker thread, and exchange in-flight beats in bulk-synchronous
-    /// windows bounded by the minimum cut latency (the conservative
-    /// lookahead). Byte-identical to the sequential schedulers; see
-    /// [`ShardPlan`] for the partitioning rule and
-    /// [`SocTopology::shard_run_report`] for per-run statistics. On a
-    /// plan with a single shard this degrades gracefully to
-    /// [`SchedulerMode::FastForward`] semantics on the calling thread.
-    Sharded {
-        /// Worker threads to spread shards over (clamped to at least 1;
-        /// values above the shard count are harmless).
-        workers: usize,
-    },
 }
 
 /// Opaque handle to one node of a topology graph, issued by
@@ -295,6 +279,26 @@ struct Child {
     /// `Some` for cascaded interconnect children, `None` for
     /// accelerators (which tick directly against the slave port).
     bridge: Option<AxiBridge>,
+    /// Fast-forward wake table entry: the child (a whole subtree for a
+    /// cascaded interconnect) is not ticked before this cycle unless
+    /// its inputs move. Valid only inside one run-loop call, which
+    /// resets it to 0 ("tick now") on entry.
+    wake: Cycle,
+    /// Accelerators only: the slave port's lifetime activity right
+    /// after the accelerator's last no-progress tick. Any push or pop
+    /// since then wakes it early.
+    seen_activity: u64,
+}
+
+impl Child {
+    fn new(node: usize, bridge: Option<AxiBridge>) -> Self {
+        Self {
+            node,
+            bridge,
+            wake: 0,
+            seen_activity: 0,
+        }
+    }
 }
 
 struct IcNode {
@@ -322,6 +326,19 @@ enum NodeKind {
 struct Node {
     label: String,
     kind: NodeKind,
+}
+
+/// The hook type of a run without one (`drive` is generic over it).
+type NoHook<C> = fn(Cycle, &mut C);
+
+/// Run-loop bookkeeping threaded through one tick of the forest.
+struct TickCx<'a> {
+    stamps: &'a mut [Option<Cycle>],
+    irq: &'a mut Vec<usize>,
+    done_count: &'a mut usize,
+    now: Cycle,
+    /// Consult and update the wake table (fast-forward without a hook).
+    local_skip: bool,
 }
 
 /// Disjoint mutable access to two distinct nodes.
@@ -510,10 +527,7 @@ impl TopologyBuilder {
         if icn.children[port].is_some() {
             return Err(TopologyError::SlavePortTaken { label, port });
         }
-        icn.children[port] = Some(Child {
-            node: acc,
-            bridge: None,
-        });
+        icn.children[port] = Some(Child::new(acc, None));
         let NodeKind::Accelerator(a) = &mut self.nodes[acc].kind else {
             unreachable!("checked above");
         };
@@ -611,10 +625,7 @@ impl TopologyBuilder {
         if picn.children[port].is_some() {
             return Err(TopologyError::SlavePortTaken { label, port });
         }
-        picn.children[port] = Some(Child {
-            node: child,
-            bridge: Some(AxiBridge::new(bridge)),
-        });
+        picn.children[port] = Some(Child::new(child, Some(AxiBridge::new(bridge))));
         let NodeKind::Interconnect(cicn) = &mut self.nodes[child].kind else {
             unreachable!("checked above");
         };
@@ -764,7 +775,6 @@ impl TopologyBuilder {
             done_count: 0,
             scheduler: SchedulerMode::default(),
             skipped_cycles: 0,
-            last_shard_report: None,
         })
     }
 }
@@ -794,8 +804,6 @@ pub struct SocTopology {
     done_count: usize,
     scheduler: SchedulerMode,
     skipped_cycles: Cycle,
-    /// Execution statistics of the most recent sharded run.
-    last_shard_report: Option<ShardRunReport>,
 }
 
 impl SocTopology {
@@ -814,12 +822,6 @@ impl SocTopology {
     /// under [`SchedulerMode::Naive`]).
     pub fn skipped_cycles(&self) -> Cycle {
         self.skipped_cycles
-    }
-
-    /// Execution statistics of the most recent run under
-    /// [`SchedulerMode::Sharded`] (`None` before any sharded run).
-    pub fn shard_run_report(&self) -> Option<&ShardRunReport> {
-        self.last_shard_report.as_ref()
     }
 
     /// The current cycle.
@@ -1030,7 +1032,8 @@ impl SocTopology {
         let NodeKind::Interconnect(icn) = &mut self.nodes[ic_idx].kind else {
             unreachable!("checked above");
         };
-        icn.children[port] = Some(Child { node, bridge: None });
+        icn.children[port] = Some(Child::new(node, None));
+        self.reset_wakes();
         Ok(port)
     }
 
@@ -1064,20 +1067,14 @@ impl SocTopology {
         self.clock.events_per_second(acc.jobs_completed(), self.now)
     }
 
-    /// Whether the fast-forward scheduler may skip cycles right now.
-    /// [`SchedulerMode::Sharded`] counts: its single-shard fallback
-    /// (and the facade run loops) behave exactly like fast-forward.
-    pub(crate) fn fast_forward_active(&self) -> bool {
-        matches!(
-            self.scheduler,
-            SchedulerMode::FastForward | SchedulerMode::Sharded { .. }
-        ) && !self
-            .mem_nodes
-            .iter()
-            .any(|&idx| match &self.nodes[idx].kind {
-                NodeKind::Memory(m) => m.wave.is_some(),
-                _ => false,
-            })
+    /// Whether the fast-forward scheduler may skip work right now: a
+    /// waveform probe samples its boundary every cycle, so recording
+    /// forces naive stepping.
+    fn fast_forward_active(&self) -> bool {
+        self.scheduler == SchedulerMode::FastForward
+            && !self.mem_nodes.iter().any(
+                |&idx| matches!(&self.nodes[idx].kind, NodeKind::Memory(m) if m.wave.is_some()),
+            )
     }
 
     /// The earliest cycle any component could make progress at, given a
@@ -1113,7 +1110,7 @@ impl SocTopology {
     /// push/pop activity of every boundary port. All inputs are
     /// monotonic counters, so the sum changes iff a hook moved a beat
     /// or reconfigured a control plane.
-    pub(crate) fn mutation_fingerprint(&mut self) -> u64 {
+    fn mutation_fingerprint(&mut self) -> u64 {
         let mut fp = 0u64;
         for node in &mut self.nodes {
             match &mut node.kind {
@@ -1135,36 +1132,84 @@ impl SocTopology {
         fp
     }
 
-    /// After a no-progress tick at `t`, the cycle to resume ticking at:
-    /// the system horizon clamped to `[t + 1, bound]` (`bound` when
-    /// every component is reactive-only).
-    pub(crate) fn skip_target(&mut self, t: Cycle, bound: Cycle) -> Cycle {
-        match self.horizon(t) {
-            Some(e) => e.max(t + 1).min(bound),
-            None => bound,
+    /// Advances `now` over an idle span without ticking.
+    fn note_skipped(&mut self, to: Cycle) {
+        self.skipped_cycles += to - self.now;
+        self.now = to;
+    }
+
+    /// Invalidates the wake table: every child is ticked next cycle.
+    fn reset_wakes(&mut self) {
+        for node in &mut self.nodes {
+            if let NodeKind::Interconnect(icn) = &mut node.kind {
+                for child in icn.children.iter_mut().flatten() {
+                    child.wake = 0;
+                }
+            }
         }
     }
 
-    /// Advances `now` over an idle span without ticking (facade-loop
-    /// internals).
-    pub(crate) fn note_skipped(&mut self, to: Cycle) {
-        self.skipped_cycles += to - self.now;
-        self.now = to;
+    /// Ticks every root subtree and then its memory at `now`. With
+    /// `local_skip`, children asleep in the wake table are not ticked
+    /// (see [`Self::tick_subtree`]).
+    fn tick_forest(&mut self, now: Cycle, local_skip: bool) -> bool {
+        let mut cx = TickCx {
+            stamps: &mut self.stamps,
+            irq: &mut self.irq_events,
+            done_count: &mut self.done_count,
+            now,
+            local_skip,
+        };
+        let mut progress = false;
+        for &root in &self.roots {
+            progress |= Self::tick_subtree(&mut self.nodes, &mut cx, root).0;
+            let mem_id = match &self.nodes[root].kind {
+                NodeKind::Interconnect(icn) => icn.memory.expect("roots have memory"),
+                _ => unreachable!("roots are interconnects"),
+            };
+            let (ic_node, mem_node) = two_nodes(&mut self.nodes, root, mem_id);
+            let NodeKind::Interconnect(icn) = &mut ic_node.kind else {
+                unreachable!("roots are interconnects");
+            };
+            let NodeKind::Memory(m) = &mut mem_node.kind else {
+                unreachable!("memory edge points at a memory node");
+            };
+            if let Some(wave) = m.wave.as_mut() {
+                wave.sample(now, icn.ic.mem_port());
+            }
+            let p = m.mem.tick(now, icn.ic.mem_port());
+            if p {
+                cx.stamps[mem_id] = Some(now);
+            }
+            progress |= p;
+        }
+        self.now = now + 1;
+        progress
     }
 
     /// Ticks one interconnect subtree in the deterministic order:
     /// children in slave-port order (accelerators directly, cascaded
     /// interconnects recursively followed by their bridge), then the
     /// interconnect itself.
-    fn tick_subtree(
-        nodes: &mut [Node],
-        stamps: &mut [Option<Cycle>],
-        irq: &mut Vec<usize>,
-        done_count: &mut usize,
-        id: usize,
-        now: Cycle,
-    ) -> bool {
+    ///
+    /// With `cx.local_skip`, a child is skipped while `now` is before
+    /// its wake-table entry: an accelerator only while its slave port's
+    /// activity is also unchanged, a cascaded subtree while its edge
+    /// bridge (which still transfers every cycle) moves nothing. A
+    /// skipped child is exactly a child whose tick would return
+    /// `false` and change nothing, so the tick order and every state
+    /// byte match naive stepping. Returns whether anything progressed
+    /// and the earliest wake among the children: the first cycle any
+    /// node below the interconnect, or a bridge between them, may
+    /// progress without input from above (`Cycle::MAX` when all of it
+    /// is reactive-only). The interconnect's own hint is added by the
+    /// caller, and only for a cascaded subtree — a root never sleeps.
+    fn tick_subtree(nodes: &mut [Node], cx: &mut TickCx<'_>, id: usize) -> (bool, Cycle) {
+        let now = cx.now;
+        // A hint at or before `now` means "tick again next cycle".
+        let wake_at = |hint: Option<Cycle>| hint.map_or(Cycle::MAX, |e| e.max(now + 1));
         let mut progress = false;
+        let mut wake = Cycle::MAX;
         let num_ports = match &nodes[id].kind {
             NodeKind::Interconnect(icn) => icn.children.len(),
             _ => unreachable!("tick roots and cascade children are interconnects"),
@@ -1173,14 +1218,19 @@ impl SocTopology {
             let child = match &nodes[id].kind {
                 NodeKind::Interconnect(icn) => icn.children[port]
                     .as_ref()
-                    .map(|c| (c.node, c.bridge.is_some())),
+                    .map(|c| (c.node, c.bridge.is_some(), c.wake)),
                 _ => None,
             };
-            let Some((cid, cascaded)) = child else {
+            let Some((cid, cascaded, child_wake)) = child else {
                 continue;
             };
             if cascaded {
-                progress |= Self::tick_subtree(nodes, stamps, irq, done_count, cid, now);
+                let asleep = cx.local_skip && now < child_wake;
+                let (sub_progress, sub_wake) = if asleep {
+                    (false, child_wake)
+                } else {
+                    Self::tick_subtree(nodes, cx, cid)
+                };
                 let (parent, child_node) = two_nodes(nodes, id, cid);
                 let NodeKind::Interconnect(picn) = &mut parent.kind else {
                     unreachable!("parent is an interconnect");
@@ -1188,15 +1238,23 @@ impl SocTopology {
                 let NodeKind::Interconnect(cicn) = &mut child_node.kind else {
                     unreachable!("cascaded child is an interconnect");
                 };
-                let bridge = picn.children[port]
-                    .as_mut()
-                    .and_then(|c| c.bridge.as_mut())
-                    .expect("cascaded child has a bridge");
+                let child = picn.children[port].as_mut().expect("bound port");
+                let bridge = child.bridge.as_mut().expect("cascaded child has a bridge");
                 let moved = bridge.transfer(now, cicn.ic.mem_port(), picn.ic.port(port));
                 if moved {
-                    stamps[cid] = Some(now);
+                    cx.stamps[cid] = Some(now);
                 }
-                progress |= moved;
+                progress |= sub_progress | moved;
+                if cx.local_skip {
+                    if sub_progress || moved {
+                        child.wake = now + 1;
+                    } else if !asleep {
+                        child.wake = sub_wake
+                            .min(wake_at(cicn.ic.next_event(now)))
+                            .min(wake_at(bridge.next_event()));
+                    }
+                    wake = wake.min(child.wake);
+                }
             } else {
                 let (parent, child_node) = two_nodes(nodes, id, cid);
                 let NodeKind::Interconnect(picn) = &mut parent.kind else {
@@ -1205,20 +1263,45 @@ impl SocTopology {
                 let NodeKind::Accelerator(a) = &mut child_node.kind else {
                     unreachable!("non-cascaded child is an accelerator");
                 };
-                let p = a.acc.tick(now, picn.ic.port(port));
+                let child = picn.children[port].as_mut().expect("bound port");
+                let slave = picn.ic.port(port);
+                if cx.local_skip
+                    && now < child.wake
+                    && slave.lifetime_activity() == child.seen_activity
+                {
+                    wake = wake.min(child.wake);
+                    continue;
+                }
+                let p = a.acc.tick(now, slave);
                 if p {
-                    stamps[cid] = Some(now);
+                    cx.stamps[cid] = Some(now);
                 }
                 progress |= p;
                 let jobs = a.acc.jobs_completed();
                 for _ in a.last_jobs..jobs {
-                    irq.push(a.ordinal);
+                    cx.irq.push(a.ordinal);
                 }
                 if !a.was_done && a.acc.is_done() {
                     a.was_done = true;
-                    *done_count += 1;
+                    *cx.done_count += 1;
                 }
                 a.last_jobs = jobs;
+                if cx.local_skip {
+                    // After progress the wake is `now + 1`, which the
+                    // next cycle's check passes without reading activity.
+                    child.wake = if p {
+                        now + 1
+                    } else {
+                        child.seen_activity = slave.lifetime_activity();
+                        let hint = [
+                            a.acc.next_event(now),
+                            slave.r.next_ready_at(),
+                            slave.b.next_ready_at(),
+                        ];
+                        wake_at(hint.into_iter().flatten().min())
+                    };
+                    wake = wake.min(child.wake);
+                }
             }
         }
         let NodeKind::Interconnect(icn) = &mut nodes[id].kind else {
@@ -1226,33 +1309,81 @@ impl SocTopology {
         };
         let p = icn.ic.tick(now);
         if p {
-            stamps[id] = Some(now);
+            cx.stamps[id] = Some(now);
         }
         progress |= p;
-        progress
+        (progress, wake)
+    }
+
+    /// The one run loop behind every run method of the topology and of
+    /// the [`crate::SocSystem`] facade: runs until `end` or, with
+    /// `until_done`, until every accelerator is done. `ctx` is what the
+    /// hook receives and `topo` projects the topology out of it.
+    ///
+    /// Under [`SchedulerMode::FastForward`], a cycle with no progress
+    /// jumps to the earliest component hint. Without a hook, sleeping
+    /// children are also skipped inside busy cycles; the wake table
+    /// they sleep in is reset here, on entry, because between runs
+    /// anything may have changed (register writes through a shared
+    /// AXI-Lite handle, a snapshot restore, a new accelerator). A hook
+    /// can make the same changes between any two ticks, so with a hook
+    /// every node is ticked each cycle and the hook keeps its exact
+    /// cadence: it runs once per cycle even across skipped spans. After
+    /// each invocation a mutation fingerprint detects hooks that move
+    /// beats or rewrite control registers, and ticking resumes at once
+    /// when one does.
+    pub(crate) fn drive<C>(
+        ctx: &mut C,
+        topo: impl Fn(&mut C) -> &mut SocTopology,
+        end: Cycle,
+        until_done: bool,
+        mut hook: Option<impl FnMut(Cycle, &mut C)>,
+    ) -> sim::RunOutcome {
+        let t = topo(ctx);
+        let local_skip = hook.is_none() && t.fast_forward_active();
+        if local_skip {
+            t.reset_wakes();
+        }
+        loop {
+            let t = topo(ctx);
+            let now = t.now;
+            if until_done && t.done_count == t.acc_nodes.len() {
+                return sim::RunOutcome::Done(now);
+            }
+            if now >= end {
+                return sim::RunOutcome::CycleLimit(now);
+            }
+            let progress = t.tick_forest(now, local_skip);
+            let idle_until = (!progress && t.fast_forward_active())
+                .then(|| t.horizon(now).map_or(end, |e| e.max(now + 1).min(end)));
+            let Some(hook) = hook.as_mut() else {
+                if let Some(target) = idle_until {
+                    t.note_skipped(target);
+                }
+                continue;
+            };
+            let Some(target) = idle_until else {
+                hook(now, ctx);
+                continue;
+            };
+            let fingerprint = t.mutation_fingerprint();
+            hook(now, ctx);
+            loop {
+                let t = topo(ctx);
+                if t.now >= target || t.mutation_fingerprint() != fingerprint {
+                    break;
+                }
+                let skipped = t.now;
+                t.note_skipped(skipped + 1);
+                hook(skipped, ctx);
+            }
+        }
     }
 
     /// Runs for exactly `cycles` cycles.
-    ///
-    /// Under [`SchedulerMode::Sharded`] with a multi-shard plan the
-    /// forest is executed on worker threads (byte-identical to the
-    /// sequential schedulers); a single-shard plan falls through to the
-    /// fast-forward loop below.
     pub fn run_for(&mut self, cycles: Cycle) {
-        if let SchedulerMode::Sharded { workers } = self.scheduler {
-            if shard::run(self, workers, cycles, false).is_some() {
-                return;
-            }
-        }
         let end = self.now + cycles;
-        while self.now < end {
-            let t = self.now;
-            let progress = self.tick(t);
-            if !progress && self.fast_forward_active() {
-                let target = self.skip_target(t, end);
-                self.note_skipped(target);
-            }
-        }
+        Self::drive(self, |t| t, end, false, None::<NoHook<Self>>);
     }
 
     /// Runs for exactly `cycles` cycles, invoking `hook` after each
@@ -1263,65 +1394,18 @@ impl SocTopology {
     /// (only the known-no-op ticks are elided). After each invocation a
     /// mutation fingerprint detects hooks that move beats or rewrite
     /// control registers, and ticking resumes immediately when one
-    /// does.
-    pub fn run_for_with(&mut self, cycles: Cycle, mut hook: impl FnMut(Cycle, &mut Self)) {
+    /// does. A hook may change anything between two ticks, so every
+    /// node is ticked on every cycle that is not skipped as a whole.
+    pub fn run_for_with(&mut self, cycles: Cycle, hook: impl FnMut(Cycle, &mut Self)) {
         let end = self.now + cycles;
-        while self.now < end {
-            let t = self.now;
-            let progress = self.tick(t);
-            if progress || !self.fast_forward_active() {
-                hook(t, self);
-                continue;
-            }
-            let target = self.skip_target(t, end);
-            let fingerprint = self.mutation_fingerprint();
-            hook(t, self);
-            while self.now < target && self.mutation_fingerprint() == fingerprint {
-                let skipped = self.now;
-                self.now = skipped + 1;
-                self.skipped_cycles += 1;
-                hook(skipped, self);
-            }
-        }
+        Self::drive(self, |t| t, end, false, Some(hook));
     }
 
     /// Runs until every finite accelerator reports done (at most
     /// `max_cycles`). Returns the outcome.
-    ///
-    /// Under a multi-shard [`SchedulerMode::Sharded`] plan, completion
-    /// is detected at exchange-window boundaries, so the reported
-    /// `Done` cycle is the first window edge at (or after) the true
-    /// completion cycle — window-quantized, while the simulated state
-    /// itself stays byte-identical to a sequential run of the same
-    /// length.
     pub fn run_until_done(&mut self, max_cycles: Cycle) -> sim::RunOutcome {
-        if let SchedulerMode::Sharded { workers } = self.scheduler {
-            if self.done_count == self.acc_nodes.len() {
-                return sim::RunOutcome::Done(self.now);
-            }
-            if let Some(all_done) = shard::run(self, workers, max_cycles, true) {
-                return if all_done {
-                    sim::RunOutcome::Done(self.now)
-                } else {
-                    sim::RunOutcome::CycleLimit(self.now)
-                };
-            }
-        }
-        let deadline = self.now + max_cycles;
-        loop {
-            if self.done_count == self.acc_nodes.len() {
-                return sim::RunOutcome::Done(self.now);
-            }
-            if self.now >= deadline {
-                return sim::RunOutcome::CycleLimit(self.now);
-            }
-            let t = self.now;
-            let progress = self.tick(t);
-            if !progress && self.fast_forward_active() {
-                let target = self.skip_target(t, deadline);
-                self.note_skipped(target);
-            }
-        }
+        let end = self.now + max_cycles;
+        Self::drive(self, |t| t, end, true, None::<NoHook<Self>>)
     }
 
     fn json_escape(s: &str) -> String {
@@ -1469,7 +1553,7 @@ impl SocTopology {
 }
 
 mod persist_impls {
-    use super::{NodeKind, SchedulerMode, ShardRunReport, SocTopology, WaveProbe};
+    use super::{NodeKind, SchedulerMode, SocTopology, WaveProbe};
     use sim::persist::{
         Persist, PersistError, PersistValue, Snapshot, SnapshotReader, SnapshotWriter,
     };
@@ -1478,48 +1562,22 @@ mod persist_impls {
     impl PersistValue for SchedulerMode {
         fn save_value(&self, w: &mut SnapshotWriter) {
             // Scheduler wire codes (append-only): 0 = fast-forward,
-            // 1 = naive, 2 = sharded + worker count.
+            // 1 = naive. Code 2 (the removed sharded executor) is
+            // retired and never reused.
             match self {
                 SchedulerMode::FastForward => w.put_u8(0),
                 SchedulerMode::Naive => w.put_u8(1),
-                SchedulerMode::Sharded { workers } => {
-                    w.put_u8(2);
-                    w.put_usize(*workers);
-                }
             }
         }
         fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
             match r.take_u8()? {
                 0 => Ok(SchedulerMode::FastForward),
                 1 => Ok(SchedulerMode::Naive),
-                2 => Ok(SchedulerMode::Sharded {
-                    workers: r.take_usize()?,
-                }),
+                2 => Err(PersistError::Corrupt(
+                    "sharded scheduler mode is no longer supported",
+                )),
                 _ => Err(PersistError::Corrupt("unknown scheduler mode")),
             }
-        }
-    }
-
-    impl PersistValue for ShardRunReport {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_usize(self.shards);
-            w.put_usize(self.workers);
-            w.put_u64(self.window);
-            w.put_u64(self.rounds);
-            w.put_u64(self.engine_skipped);
-            w.put_u64(self.messages);
-            w.put_u64(self.ambiguous_stalls);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                shards: r.take_usize()?,
-                workers: r.take_usize()?,
-                window: r.take_u64()?,
-                rounds: r.take_u64()?,
-                engine_skipped: r.take_u64()?,
-                messages: r.take_u64()?,
-                ambiguous_stalls: r.take_u64()?,
-            })
         }
     }
 
@@ -1628,20 +1686,18 @@ mod persist_impls {
         /// Restoring the returned snapshot into an identically built
         /// topology and resuming produces byte-identical behavior to
         /// the uninterrupted run — the property the scheduler
-        /// equivalence oracle pins across naive, fast-forward and
-        /// sharded execution. Sharded runs reunite their bridge halves
-        /// at exchange-window boundaries before control returns, so a
-        /// snapshot never observes split-bridge state.
+        /// equivalence oracle pins across naive and fast-forward
+        /// execution.
         pub fn save_snapshot(&self) -> Snapshot {
             let mut snap = Snapshot::new();
             let mut w = SnapshotWriter::new();
             self.save_shape(&mut w);
             snap.push_section(SECTION_SHAPE, w);
 
-            // Scheduler choice, skipped-cycle counters and shard
-            // reports are execution artifacts, not simulator state:
+            // Scheduler choice, skipped-cycle counters and the wake
+            // table are execution artifacts, not simulator state:
             // excluding them keeps snapshots byte-comparable across
-            // naive, fast-forward and sharded runs of the same state.
+            // naive and fast-forward runs of the same state.
             let mut w = SnapshotWriter::new();
             w.put_u64(self.now);
             w.put_usize(self.done_count);
@@ -1743,6 +1799,7 @@ mod persist_impls {
             self.clock = clock;
             self.stamps = stamps;
             self.irq_events = irq_events;
+            self.reset_wakes();
             Ok(())
         }
 
@@ -1778,50 +1835,16 @@ impl std::fmt::Debug for SocTopology {
 }
 
 impl Component for SocTopology {
+    /// Ticks every node. A caller stepping the topology by hand may
+    /// change anything between two calls, so this never consults the
+    /// run loops' wake table.
     fn tick(&mut self, now: Cycle) -> bool {
         debug_assert_eq!(now, self.now, "SocTopology must be ticked monotonically");
-        let mut progress = false;
-        for i in 0..self.roots.len() {
-            let root = self.roots[i];
-            progress |= Self::tick_subtree(
-                &mut self.nodes,
-                &mut self.stamps,
-                &mut self.irq_events,
-                &mut self.done_count,
-                root,
-                now,
-            );
-            let mem_id = match &self.nodes[root].kind {
-                NodeKind::Interconnect(icn) => icn.memory.expect("roots have memory"),
-                _ => unreachable!("roots are interconnects"),
-            };
-            let (ic_node, mem_node) = two_nodes(&mut self.nodes, root, mem_id);
-            let NodeKind::Interconnect(icn) = &mut ic_node.kind else {
-                unreachable!("roots are interconnects");
-            };
-            let NodeKind::Memory(m) = &mut mem_node.kind else {
-                unreachable!("memory edge points at a memory node");
-            };
-            if let Some(wave) = m.wave.as_mut() {
-                wave.sample(now, icn.ic.mem_port());
-            }
-            let p = m.mem.tick(now, icn.ic.mem_port());
-            if p {
-                self.stamps[mem_id] = Some(now);
-            }
-            progress |= p;
-        }
-        self.now = now + 1;
-        progress
+        self.tick_forest(now, false)
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.fast_forward_active()
-            && matches!(
-                self.scheduler,
-                SchedulerMode::FastForward | SchedulerMode::Sharded { .. }
-            )
-        {
+        if self.scheduler == SchedulerMode::FastForward && !self.fast_forward_active() {
             // A waveform probe samples the boundary every cycle.
             return Some(now + 1);
         }
@@ -2205,6 +2228,27 @@ mod tests {
         );
         let bytes = snap.to_bytes();
         assert!(bytes.starts_with(b"hcsim-snapshot/v1\n"));
+    }
+
+    #[test]
+    fn retired_sharded_scheduler_tag_is_a_typed_error() {
+        use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
+        for mode in [SchedulerMode::FastForward, SchedulerMode::Naive] {
+            let mut w = SnapshotWriter::new();
+            mode.save_value(&mut w);
+            let bytes = w.into_bytes();
+            let back = SchedulerMode::load_value(&mut SnapshotReader::new(&bytes));
+            assert_eq!(back, Ok(mode));
+        }
+        // Tag 2 once carried the sharded executor and its worker count.
+        let mut w = SnapshotWriter::new();
+        w.put_u8(2);
+        w.put_usize(4);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            SchedulerMode::load_value(&mut SnapshotReader::new(&bytes)),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

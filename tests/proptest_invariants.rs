@@ -278,58 +278,25 @@ fn topology_from_bytes(bytes: &[u8]) -> SocTopology {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Partition totality: for any randomly generated topology, the
-    /// shard plan places every node in exactly one shard, cuts exactly
-    /// the registered (latency ≥ 1) cascade edges, and uses the
-    /// minimum cut latency as the exchange window.
+    /// Scheduler equivalence on arbitrary graphs: the activity-driven
+    /// fast-forward run of any generated topology (random cascade
+    /// depths, wire and registered bridges, sleeping subtrees) is
+    /// byte-identical to naive stepping — clock, IRQ order, full
+    /// metrics snapshot and the complete snapshot image.
     #[test]
-    fn shard_plans_partition_any_topology(
+    fn fast_forward_runs_match_naive_on_any_topology(
         bytes in proptest::collection::vec(any::<u8>(), 4..48),
-    ) {
-        let topo = topology_from_bytes(&bytes);
-        let plan = topo.shard_plan();
-        let mut seen = std::collections::HashMap::new();
-        for (s, shard) in plan.shards.iter().enumerate() {
-            prop_assert!(!shard.is_empty(), "shard {} is empty", s);
-            for &id in shard {
-                prop_assert!(
-                    seen.insert(id, s).is_none(),
-                    "node {:?} landed in two shards", id
-                );
-            }
-        }
-        prop_assert_eq!(seen.len(), topo.num_nodes(), "a node was left unassigned");
-        prop_assert_eq!(plan.cuts.len() + 1, plan.shards.len(), "one tree, so cuts = shards - 1");
-        for cut in &plan.cuts {
-            prop_assert!(cut.latency >= 1, "wire edge {:?} was cut", cut);
-            // A cut separates the parent's shard from the child's.
-            prop_assert_eq!(seen[&cut.parent], cut.parent_shard);
-            prop_assert_eq!(seen[&cut.child], cut.child_shard);
-            prop_assert!(cut.parent_shard != cut.child_shard);
-        }
-        prop_assert_eq!(plan.window, plan.cuts.iter().map(|c| c.latency).min());
-    }
-
-    /// Scheduler equivalence on arbitrary graphs: the sharded run of
-    /// any generated topology is byte-identical (clock, IRQ order, full
-    /// metrics snapshot) to the sequential fast-forward run, and its
-    /// entry gates prove it (zero ambiguous stalls).
-    #[test]
-    fn sharded_runs_match_sequential_on_any_topology(
-        bytes in proptest::collection::vec(any::<u8>(), 4..48),
-        workers in 1usize..5,
     ) {
         const CYCLES: Cycle = 15_000;
-        let mut seq = topology_from_bytes(&bytes);
-        seq.run_for(CYCLES);
-        let mut sharded = topology_from_bytes(&bytes);
-        sharded.set_scheduler(SchedulerMode::Sharded { workers });
-        sharded.run_for(CYCLES);
-        prop_assert_eq!(seq.now(), sharded.now());
-        prop_assert_eq!(seq.take_irq_events(), sharded.take_irq_events());
-        prop_assert_eq!(seq.metrics_snapshot_json(), sharded.metrics_snapshot_json());
-        let rep = *sharded.shard_run_report().expect("sharded mode reports");
-        prop_assert_eq!(rep.ambiguous_stalls, 0, "could not prove the sequential schedule");
+        let mut naive = topology_from_bytes(&bytes);
+        naive.set_scheduler(SchedulerMode::Naive);
+        naive.run_for(CYCLES);
+        let mut fast = topology_from_bytes(&bytes);
+        fast.run_for(CYCLES);
+        prop_assert_eq!(naive.now(), fast.now());
+        prop_assert_eq!(naive.take_irq_events(), fast.take_irq_events());
+        prop_assert_eq!(naive.metrics_snapshot_json(), fast.metrics_snapshot_json());
+        prop_assert!(naive.snapshot_bytes() == fast.snapshot_bytes(), "snapshot images differ");
     }
 
     /// End-to-end sequential consistency: reads observe exactly the

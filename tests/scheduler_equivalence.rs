@@ -11,11 +11,15 @@
 //! so a scheduler or component-hint change that warps timing is caught
 //! at the source, and asserts that fast-forward actually skips cycles
 //! on idle-heavy workloads (the optimization is live, not vacuous).
+//!
+//! Cascaded trees, where fast-forward also puts idle subtrees and idle
+//! accelerators to sleep inside busy cycles, are covered by
+//! `tests/sharded_equivalence.rs`.
 
 use axi::beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
 use axi::lite::LiteBus;
 use axi::types::{AxiId, BurstSize, PortId};
-use axi::AxiInterconnect;
+use axi::{AxiInterconnect, AxiPort, PortConfig};
 use axi_hyperconnect::{SchedulerMode, SocSystem};
 use ha::chaidnn::{Chaidnn, ChaidnnConfig, Layer};
 use ha::dma::{Dma, DmaConfig};
@@ -24,6 +28,7 @@ use ha::traffic::{BandwidthStealer, PeriodicReader, RandomTraffic};
 use hyperconnect::{HcConfig, HyperConnect};
 use hypervisor::{Hypervisor, WatchdogPolicy};
 use mem::{MemConfig, MemoryController};
+use sim::persist::PersistValue;
 use sim::{Component, Cycle};
 use smartconnect::{ScConfig, SmartConnect};
 
@@ -596,11 +601,128 @@ fn tight_budget_run(mode: SchedulerMode) -> (String, Cycle) {
 fn tight_budget_reservation_identical_under_fast_forward() {
     let (naive, naive_skipped) = tight_budget_run(SchedulerMode::Naive);
     let (fast, fast_skipped) = tight_budget_run(SchedulerMode::FastForward);
-    let (sharded, _) = tight_budget_run(SchedulerMode::Sharded { workers: 2 });
     assert_eq!(naive, fast);
-    assert_eq!(naive, sharded);
     // The equivalence must not be vacuous: fast-forward really skipped
     // idle spans (without ever skipping a recharge boundary).
     assert_eq!(naive_skipped, 0);
     assert!(fast_skipped > 0, "fast-forward never engaged");
+}
+
+/// A one-port pass-through interconnect whose slave port shows each
+/// response to the accelerator three cycles after it is pushed — slower
+/// than any in-tree model. An accelerator waiting on a response sees
+/// its port's activity change when the beat is pushed, ticks once
+/// without progress, and must then wake on the beat's visibility cycle.
+struct SlowPort {
+    slave: AxiPort,
+    master: AxiPort,
+}
+
+impl SlowPort {
+    fn new() -> Self {
+        Self {
+            slave: AxiPort::new(PortConfig {
+                latency: 3,
+                ..PortConfig::registered()
+            }),
+            master: AxiPort::new(PortConfig::registered()),
+        }
+    }
+}
+
+/// Moves every visible beat of `from` into `to` while it has room.
+fn forward<T>(now: Cycle, from: &mut sim::TimedFifo<T>, to: &mut sim::TimedFifo<T>) -> bool {
+    let mut moved = false;
+    while from.has_ready(now) && !to.is_full() {
+        let beat = from.pop_ready(now).expect("visible");
+        to.push(now, beat).ok().expect("room checked");
+        moved = true;
+    }
+    moved
+}
+
+impl Component for SlowPort {
+    fn tick(&mut self, now: Cycle) -> bool {
+        let (s, m) = (&mut self.slave, &mut self.master);
+        let requests = forward(now, &mut s.ar, &mut m.ar) | forward(now, &mut s.aw, &mut m.aw);
+        let data = forward(now, &mut s.w, &mut m.w);
+        let responses = forward(now, &mut m.r, &mut s.r) | forward(now, &mut m.b, &mut s.b);
+        requests | data | responses
+    }
+
+    /// Like every in-tree interconnect, the hint covers every beat
+    /// queued at both boundaries, responses still in flight to the
+    /// accelerator included.
+    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
+        [self.slave.next_ready_at(), self.master.next_ready_at()]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+}
+
+impl AxiInterconnect for SlowPort {
+    fn num_ports(&self) -> usize {
+        1
+    }
+    fn port(&mut self, _i: usize) -> &mut AxiPort {
+        &mut self.slave
+    }
+    fn mem_port(&mut self) -> &mut AxiPort {
+        &mut self.master
+    }
+    fn name(&self) -> &'static str {
+        "SlowPort"
+    }
+    fn is_idle(&self) -> bool {
+        self.slave.is_idle() && self.master.is_idle()
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
+        self.slave.save_value(w);
+        self.master.save_value(w);
+    }
+    fn restore_state(
+        &mut self,
+        r: &mut sim::persist::SnapshotReader<'_>,
+    ) -> Result<(), sim::persist::PersistError> {
+        self.slave = AxiPort::load_value(r)?;
+        self.master = AxiPort::load_value(r)?;
+        Ok(())
+    }
+}
+
+/// Accelerators wake on their port's pending response beats, not only
+/// on port activity and their own hint.
+#[test]
+fn accelerators_wake_on_responses_still_in_flight() {
+    let run = |mode: SchedulerMode| {
+        let mut sys = SocSystem::new(SlowPort::new(), MemoryController::new(MemConfig::zcu102()));
+        sys.set_scheduler(mode);
+        let copy = DmaConfig {
+            src_base: 0x1000_0000,
+            dst_base: 0x1100_0000,
+            read_bytes: 4096,
+            write_bytes: 4096,
+            burst_beats: 16,
+            size: BurstSize::B16,
+            max_outstanding: 2,
+            jobs: Some(3),
+        };
+        sys.add_accelerator(Box::new(Dma::new("dma", copy)))
+            .unwrap();
+        let done = sys.run_until_done(1_000_000);
+        (done, fingerprint(&sys, "[]"), sys.snapshot_bytes())
+    };
+    let (naive_done, naive_fp, naive_bytes) = run(SchedulerMode::Naive);
+    let (fast_done, fast_fp, fast_bytes) = run(SchedulerMode::FastForward);
+    assert!(naive_done.is_done(), "{naive_done}");
+    assert_eq!(naive_done, fast_done);
+    assert_eq!(naive_fp, fast_fp);
+    assert!(naive_bytes == fast_bytes, "snapshot images differ");
 }

@@ -6,7 +6,7 @@
 //! all layers.
 //!
 //! Because snapshots deliberately exclude scheduler artifacts
-//! (scheduler mode, fast-forward skip counters, shard reports), one
+//! (scheduler mode, fast-forward skip counters and wake table), one
 //! single naive-mode reference image pins *every* scheduler's split
 //! run, and a snapshot taken under one scheduler must resume under
 //! another without drift.
@@ -24,11 +24,7 @@ use mem::{MemConfig, MemoryController};
 use sim::Cycle;
 
 /// Every scheduler the split runs are swept over.
-const MODES: [SchedulerMode; 3] = [
-    SchedulerMode::Naive,
-    SchedulerMode::FastForward,
-    SchedulerMode::Sharded { workers: 2 },
-];
+const MODES: [SchedulerMode; 2] = [SchedulerMode::Naive, SchedulerMode::FastForward];
 
 /// Drives the oracle for a flat [`SocSystem`] scenario: `build` must
 /// assemble the identical system every call (same shapes, same seeds —
@@ -61,11 +57,11 @@ fn oracle_system(
         );
     }
 
-    // Cross-scheduler resume: freeze under fast-forward, thaw sharded.
+    // Cross-scheduler resume: freeze under fast-forward, thaw naive.
     let mut first = build(SchedulerMode::FastForward);
     first.run_for(split_at);
     let mid = first.snapshot_bytes();
-    let mut resumed = build(SchedulerMode::Sharded { workers: 2 });
+    let mut resumed = build(SchedulerMode::Naive);
     resumed
         .restore_snapshot_bytes(&mid)
         .unwrap_or_else(|e| panic!("{label}: cross-scheduler restore failed: {e:?}"));
@@ -73,7 +69,7 @@ fn oracle_system(
     assert_eq!(
         resumed.snapshot_bytes(),
         reference_bytes,
-        "{label}: fast-forward snapshot resumed under sharded diverged"
+        "{label}: fast-forward snapshot resumed under naive diverged"
     );
 }
 
@@ -296,8 +292,8 @@ fn chaos_seed_snapshot_split_is_exact() {
 
 // ---------------------------------------------------------------------
 // Scenario 5: a three-level cascade (leaf → mid → root → DDR) with
-// registered bridges at both cuts, so the sharded scheduler actually
-// partitions it.
+// registered bridges at both cuts, so fast-forward puts whole subtrees
+// to sleep across the split.
 // ---------------------------------------------------------------------
 
 fn build_tree3(mode: SchedulerMode) -> SocTopology {
