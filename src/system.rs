@@ -365,24 +365,28 @@ impl SocSystem<hyperconnect::HyperConnect> {
     /// this call, so program the regulators over AXI-Lite *before*
     /// arming observability.
     pub fn enable_observability(&mut self) {
-        let (first_word, write_resp) = {
-            let config = self.memory().config();
-            (config.first_word_latency, config.write_resp_latency)
-        };
-        let hc = self.interconnect();
-        let n = hc.num_ports();
-        let (nominal, max_out) = hc.regs().with(|rf| {
-            let max_out = (0..n)
-                .map(|i| rf.port(i).max_outstanding)
-                .max()
-                .unwrap_or(1);
-            (rf.nominal_burst(), max_out)
-        });
-        let mut model = hyperconnect::analysis::ServiceModel::hyperconnect(n, nominal, first_word)
-            .max_outstanding(max_out);
-        model.write_resp_latency = write_resp;
-        hc.enable_bound_monitor(model);
+        let memory = *self.memory().config();
+        arm_bound_monitor(self.interconnect(), &memory);
     }
+}
+
+/// Arms `hc`'s metrics and runtime bound monitor with the service model
+/// its register file and `memory`'s timing imply (see
+/// [`SocSystem::enable_observability`]).
+pub(crate) fn arm_bound_monitor(hc: &mut hyperconnect::HyperConnect, memory: &mem::MemConfig) {
+    let n = hc.num_ports();
+    let (nominal, max_out) = hc.regs().with(|rf| {
+        let max_out = (0..n)
+            .map(|i| rf.port(i).max_outstanding)
+            .max()
+            .unwrap_or(1);
+        (rf.nominal_burst(), max_out)
+    });
+    let mut model =
+        hyperconnect::analysis::ServiceModel::hyperconnect(n, nominal, memory.first_word_latency)
+            .max_outstanding(max_out);
+    model.write_resp_latency = memory.write_resp_latency;
+    hc.enable_bound_monitor(model);
 }
 
 impl<I: AxiInterconnect + 'static> Component for SocSystem<I> {

@@ -52,6 +52,16 @@ pub enum SchedulerMode {
     Naive,
 }
 
+impl SchedulerMode {
+    /// Stable name used in campaign JSON.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SchedulerMode::FastForward => "fast-forward",
+            SchedulerMode::Naive => "naive",
+        }
+    }
+}
+
 /// Opaque handle to one node of a topology graph, issued by
 /// [`TopologyBuilder`] and only meaningful for the builder (and the
 /// [`SocTopology`]) that issued it.
