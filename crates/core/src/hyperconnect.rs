@@ -19,7 +19,6 @@ use axi::checker::{Violation, ViolationKind};
 use axi::lite::LiteHandle;
 use axi::{AxiInterconnect, AxiPort, PortConfig};
 use sim::stats::CounterBank;
-use sim::trace::Tracer;
 use sim::{Component, Cycle};
 
 use crate::central::CentralUnit;
@@ -53,7 +52,6 @@ pub struct HyperConnect {
     central: CentralUnit,
     mem_port: AxiPort,
     runtime_scratch: Vec<TsRuntime>,
-    tracer: Tracer,
     /// Per-port structured violation log (drained from the TS modules).
     violation_log: Vec<Vec<Violation>>,
     /// Per-port violation counters, indexed by [`ViolationKind::index`].
@@ -114,7 +112,6 @@ impl HyperConnect {
                     .data_capacity(config.efifo_data_depth),
             ),
             runtime_scratch: Vec::with_capacity(n),
-            tracer: Tracer::disabled(),
             violation_log: (0..n).map(|_| Vec::new()).collect(),
             violation_counters: (0..n)
                 .map(|_| CounterBank::new(ViolationKind::COUNT))
@@ -199,18 +196,6 @@ impl HyperConnect {
         self.monitor.as_ref()
     }
 
-    /// Enables event tracing (period recharges, decouple transitions),
-    /// retaining the most recent `capacity` events — the open-design
-    /// observability the paper contrasts with closed-source IPs.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer = Tracer::enabled(capacity);
-    }
-
-    /// The event trace (empty unless [`Self::enable_trace`] was called).
-    pub fn trace(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// The synthesis-time configuration.
     pub fn config(&self) -> &HcConfig {
         &self.config
@@ -286,7 +271,6 @@ impl Component for HyperConnect {
         let supervisors = &mut self.supervisors;
         let efifos = &mut self.efifos;
         let scratch = &mut self.runtime_scratch;
-        let tracer = &mut self.tracer;
         let viol_totals = &self.viol_totals;
         let quiesce = &mut self.quiesce_deadline;
         let seen_gen = &mut self.seen_cfg_gen;
@@ -300,13 +284,6 @@ impl Component for HyperConnect {
                 return false;
             }
             let recharged = central.tick(now, rf, supervisors);
-            if recharged {
-                tracer.emit(
-                    now,
-                    "central",
-                    format!("budget recharge, period {}", central.periods_elapsed()),
-                );
-            }
             let mut quiesce_progress = false;
             // Fast path: with the config generation unchanged since the
             // last scan and no drain in flight, the scan below would
@@ -344,16 +321,8 @@ impl Component for HyperConnect {
                             .unwrap_or_else(|| Self::fallback_drain_model(rf, num_ports))
                             .drain_deadline();
                         quiesce[i] = Some(now + deadline);
-                        tracer.emit(
-                            now,
-                            "quiesce",
-                            format!("port {i} drain started, deadline +{deadline} cycles"),
-                        );
                     }
-                    (false, Some(_)) => {
-                        quiesce[i] = None;
-                        tracer.emit(now, "quiesce", format!("port {i} quiesce released"));
-                    }
+                    (false, Some(_)) => quiesce[i] = None,
                     _ => {}
                 }
                 if let Some(deadline_at) = quiesce[i] {
@@ -361,7 +330,6 @@ impl Component for HyperConnect {
                         if !rf.port(i).drained {
                             rf.port_mut(i).drained = true;
                             quiesce_progress = true;
-                            tracer.emit(now, "quiesce", format!("port {i} drained"));
                         }
                     } else if now >= deadline_at {
                         // Stuck pipeline: drop everything not yet granted
@@ -373,14 +341,6 @@ impl Component for HyperConnect {
                         port.dropped_txns = port.dropped_txns.saturating_add(dropped);
                         port.enabled = false;
                         quiesce_progress = true;
-                        tracer.emit(
-                            now,
-                            "quiesce",
-                            format!(
-                                "port {i} drain deadline blown: force-flushed {dropped} \
-                                 sub-transactions, port decoupled"
-                            ),
-                        );
                     }
                 }
                 // Propagate a pending W1C throttle clear to the TS-side
@@ -399,20 +359,6 @@ impl Component for HyperConnect {
                     quiesced: port.quiesce_requested,
                     regulator,
                 });
-                if efifo.is_decoupled() == port.enabled {
-                    tracer.emit(
-                        now,
-                        "efifo",
-                        format!(
-                            "port {i} {}",
-                            if port.enabled {
-                                "recoupled"
-                            } else {
-                                "DECOUPLED"
-                            }
-                        ),
-                    );
-                }
                 efifo.set_decoupled(!port.enabled);
             }
             // Counter write-back so the hypervisor can observe activity
@@ -489,7 +435,6 @@ impl Component for HyperConnect {
                 let v = v.at_port(i);
                 self.violation_counters[i].incr(v.kind.index());
                 self.viol_totals[i] += 1;
-                self.tracer.emit(now, "violation", v.to_string());
                 self.violation_log[i].push(v);
             }
         }
@@ -649,7 +594,12 @@ impl AxiInterconnect for HyperConnect {
         self.central.save_value(w);
         self.mem_port.save_value(w);
         self.runtime_scratch.save_value(w);
-        self.tracer.save_value(w);
+        // Record of the retired event tracer, kept so images stay
+        // byte-identical: disabled, capacity 0, 0 dropped, 0 events.
+        w.put_bool(false);
+        w.put_usize(0);
+        w.put_u64(0);
+        w.put_usize(0);
         self.violation_log.save_value(w);
         self.violation_counters.save_value(w);
         self.metrics.save_value(w);
@@ -680,7 +630,9 @@ impl AxiInterconnect for HyperConnect {
         let central = CentralUnit::load_value(r)?;
         let mem_port = axi::AxiPort::load_value(r)?;
         let runtime_scratch: Vec<TsRuntime> = Vec::load_value(r)?;
-        let tracer = Tracer::load_value(r)?;
+        if r.take_bool()? || r.take_usize()? != 0 || r.take_u64()? != 0 || r.take_usize()? != 0 {
+            return Err(PersistError::Corrupt("retired tracer record is not empty"));
+        }
         let violation_log: Vec<Vec<Violation>> = Vec::load_value(r)?;
         let violation_counters: Vec<CounterBank> = Vec::load_value(r)?;
         let metrics: Option<axi::MetricsRegistry> = Option::load_value(r)?;
@@ -709,7 +661,6 @@ impl AxiInterconnect for HyperConnect {
         self.central = central;
         self.mem_port = mem_port;
         self.runtime_scratch = runtime_scratch;
-        self.tracer = tracer;
         self.violation_log = violation_log;
         self.violation_counters = violation_counters;
         self.metrics = metrics;
@@ -998,35 +949,23 @@ mod tests {
     #[test]
     fn trace_records_recharges_and_decoupling() {
         let mut hc = HyperConnect::new(HcConfig::new(2));
-        hc.enable_trace(64);
         hc.regs().write32(crate::regfile::offsets::PERIOD, 100);
         run(&mut hc, 250);
+        assert!(!hc.efifos[1].is_decoupled());
         // Decouple port 1 at runtime.
         let p1 = crate::regfile::port_block_offset(1) + crate::regfile::offsets::PORT_CTRL;
         hc.regs().write32(p1, 0);
         for now in 250..260 {
             hc.tick(now);
         }
-        let lines = hc.trace().dump();
-        assert!(
-            lines
-                .iter()
-                .filter(|l| l.contains("budget recharge"))
-                .count()
-                >= 3,
-            "{lines:?}"
-        );
-        assert!(lines.iter().any(|l| l.contains("port 1 DECOUPLED")));
+        assert!(hc.central.periods_elapsed() >= 3);
+        assert!(hc.efifos[1].is_decoupled());
         // Recouple and observe the transition.
         hc.regs().write32(p1, 1);
         for now in 260..270 {
             hc.tick(now);
         }
-        assert!(hc
-            .trace()
-            .dump()
-            .iter()
-            .any(|l| l.contains("port 1 recoupled")));
+        assert!(!hc.efifos[1].is_decoupled());
     }
 
     #[test]
@@ -1188,6 +1127,34 @@ mod tests {
         assert!(matches!(
             b.restore_state(&mut SnapshotReader::new(&bytes)),
             Err(PersistError::ShapeMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_a_nonempty_retired_tracer_record() {
+        use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
+        let a = HyperConnect::new(HcConfig::new(2));
+        let mut w = SnapshotWriter::new();
+        a.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        // The record follows the runtime scratch: its `dropped` u64 sits
+        // one bool and one usize past the fields saved before it.
+        let mut head = SnapshotWriter::new();
+        head.put_usize(2);
+        a.regs.with(|rf| rf.save_value(&mut head));
+        a.efifos.save_value(&mut head);
+        a.supervisors.save_value(&mut head);
+        a.exbar.save_value(&mut head);
+        a.central.save_value(&mut head);
+        a.mem_port.save_value(&mut head);
+        a.runtime_scratch.save_value(&mut head);
+        let at = head.into_bytes().len();
+        assert!(bytes[at..at + 25].iter().all(|&byte| byte == 0));
+        bytes[at + 9] = 1;
+        let mut b = HyperConnect::new(HcConfig::new(2));
+        assert!(matches!(
+            b.restore_state(&mut SnapshotReader::new(&bytes)),
+            Err(PersistError::Corrupt(_))
         ));
     }
 

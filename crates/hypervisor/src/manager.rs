@@ -1,7 +1,7 @@
 //! The hypervisor proper: domains, bandwidth partitioning, interrupt
 //! routing, and run-time health monitoring.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use axi::lite::LiteBus;
 use axi::types::PortId;
@@ -104,6 +104,18 @@ struct WatchdogState {
     stalled_polls: u32,
 }
 
+impl WatchdogState {
+    /// A fresh state whose violation baseline is the port's current
+    /// cumulative count, so pre-recovery history does not immediately
+    /// re-trip the watchdog.
+    fn rearmed(hc: &HcDriver<'_>, p: usize) -> Result<Self, DriverError> {
+        Ok(Self {
+            violations_baseline: hc.violations(p)?,
+            ..Self::default()
+        })
+    }
+}
+
 /// Why the watchdog decoupled a port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WatchdogReason {
@@ -118,7 +130,7 @@ pub enum WatchdogReason {
 }
 
 /// A decoupling event recorded by the watchdog.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogEvent {
     /// The offending port.
     pub port: PortId,
@@ -177,7 +189,7 @@ pub struct IntegrityEvent {
 }
 
 /// A decoupling event recorded by the health monitor.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecoupleEvent {
     /// The offending port.
     pub port: PortId,
@@ -261,6 +273,14 @@ impl RecoveryPolicy {
         let per_attempt = drain_polls + self.backoff_cap + self.reset_polls + 2;
         self.suspect_polls + 1 + (self.max_recoveries.max(1)) * (per_attempt + 1)
     }
+
+    /// Polls to wait in `Decoupled` after `failed` failed recoveries:
+    /// `backoff_base · 2^failed`, saturating, capped at `backoff_cap`.
+    fn backoff_polls(&self, failed: u32) -> u32 {
+        self.backoff_base
+            .saturating_mul(1 << failed.min(16))
+            .min(self.backoff_cap)
+    }
 }
 
 /// A state-machine transition recorded by [`Hypervisor::poll_recovery`].
@@ -290,6 +310,73 @@ struct RecoveryPortState {
     saved_budget: u32,
 }
 
+/// Everything the hypervisor knows about one port: its owner, the four
+/// optional policies and the per-port state each one drives. A state
+/// whose policy is not installed keeps its flags and counters at their
+/// defaults (a recouple may still rebase the watchdog's violation
+/// baseline), so it raises no signal.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortRecord {
+    owner: Option<DomainId>,
+    monitor_policy: Option<MonitorPolicy>,
+    monitor: MonitorState,
+    watchdog_policy: Option<WatchdogPolicy>,
+    watchdog: WatchdogState,
+    recovery_policy: Option<RecoveryPolicy>,
+    recovery: RecoveryPortState,
+    integrity_policy: Option<IntegrityPolicy>,
+    integrity: IntegrityState,
+}
+
+impl PortRecord {
+    /// Whether the port's health signals look bad *right now*: it was
+    /// decoupled by the monitor or watchdog (`hard`), or violations /
+    /// stall polls are accumulating toward a threshold (`soft`).
+    fn suspect_signals(&self) -> (bool, bool) {
+        let hard = self.monitor.decoupled_by_monitor || self.watchdog.decoupled_by_watchdog;
+        let soft = self.monitor.consecutive_violations > 0 || self.watchdog.stalled_polls > 0;
+        (hard, soft)
+    }
+}
+
+/// One entry of the hypervisor's event log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HvEvent {
+    /// The health monitor decoupled a port ([`Hypervisor::poll_health`]).
+    Decouple(DecoupleEvent),
+    /// The watchdog decoupled a port ([`Hypervisor::poll_watchdog`]).
+    Watchdog(WatchdogEvent),
+    /// A port moved in the recovery lifecycle
+    /// ([`Hypervisor::poll_recovery`]).
+    Recovery(RecoveryTransition),
+    /// A port's error counter crossed its integrity threshold
+    /// ([`Hypervisor::poll_integrity`]).
+    Integrity(IntegrityEvent),
+}
+
+/// Capacity of the hypervisor event log, shared by every event kind.
+/// The log is bounded so a flapping accelerator cannot grow hypervisor
+/// memory without limit: the oldest events are dropped and counted.
+pub const HEALTH_LOG_CAPACITY: usize = 256;
+
+/// The bounded event log: the most recent events, oldest first, and how
+/// many older ones were dropped.
+#[derive(Debug, Default)]
+struct EventLog {
+    events: VecDeque<HvEvent>,
+    dropped: u64,
+}
+
+impl EventLog {
+    fn push(&mut self, event: HvEvent) {
+        if self.events.len() == HEALTH_LOG_CAPACITY {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event);
+    }
+}
+
 /// The hypervisor: owns the control bus, the domain table and the
 /// monitoring state for one HyperConnect instance.
 ///
@@ -317,45 +404,25 @@ pub struct Hypervisor {
     bus: LiteBus,
     hc_base: u64,
     domains: Vec<Domain>,
-    port_owner: HashMap<usize, DomainId>,
-    policies: HashMap<usize, MonitorPolicy>,
-    monitor: HashMap<usize, MonitorState>,
-    decouple_log: Vec<DecoupleEvent>,
-    decouple_log_dropped: u64,
-    watchdog_policies: HashMap<usize, WatchdogPolicy>,
-    watchdog: HashMap<usize, WatchdogState>,
-    watchdog_log: Vec<WatchdogEvent>,
-    watchdog_log_dropped: u64,
-    recovery_policies: HashMap<usize, RecoveryPolicy>,
-    recovery: HashMap<usize, RecoveryPortState>,
-    recovery_log: Vec<RecoveryTransition>,
-    recovery_log_dropped: u64,
-    integrity_policies: HashMap<usize, IntegrityPolicy>,
-    integrity: HashMap<usize, IntegrityState>,
-    integrity_log: Vec<IntegrityEvent>,
-    integrity_log_dropped: u64,
-}
-
-/// Capacity of each hypervisor event log. Like the tracer, the logs
-/// are bounded so a flapping accelerator cannot grow hypervisor memory
-/// without limit: the oldest events are dropped and counted.
-pub const HEALTH_LOG_CAPACITY: usize = 256;
-
-fn push_capped<T>(log: &mut Vec<T>, dropped: &mut u64, event: T) {
-    if log.len() == HEALTH_LOG_CAPACITY {
-        log.remove(0);
-        *dropped += 1;
-    }
-    log.push(event);
+    /// Per-port records, walked in port order by every poll.
+    ports: BTreeMap<usize, PortRecord>,
+    log: EventLog,
 }
 
 impl std::fmt::Debug for Hypervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let assigned = self.ports.values().filter(|r| r.owner.is_some()).count();
         f.debug_struct("Hypervisor")
             .field("domains", &self.domains.len())
-            .field("assigned_ports", &self.port_owner.len())
+            .field("assigned_ports", &assigned)
             .finish()
     }
+}
+
+/// A register driver for the device at `base`, already validated by
+/// [`Hypervisor::new`].
+fn driver(bus: &LiteBus, base: u64) -> HcDriver<'_> {
+    HcDriver::probe(bus, base).expect("validated at construction")
 }
 
 impl Hypervisor {
@@ -372,29 +439,14 @@ impl Hypervisor {
             bus,
             hc_base,
             domains: Vec::new(),
-            port_owner: HashMap::new(),
-            policies: HashMap::new(),
-            monitor: HashMap::new(),
-            decouple_log: Vec::new(),
-            decouple_log_dropped: 0,
-            watchdog_policies: HashMap::new(),
-            watchdog: HashMap::new(),
-            watchdog_log: Vec::new(),
-            watchdog_log_dropped: 0,
-            recovery_policies: HashMap::new(),
-            recovery: HashMap::new(),
-            recovery_log: Vec::new(),
-            recovery_log_dropped: 0,
-            integrity_policies: HashMap::new(),
-            integrity: HashMap::new(),
-            integrity_log: Vec::new(),
-            integrity_log_dropped: 0,
+            ports: BTreeMap::new(),
+            log: EventLog::default(),
         })
     }
 
     /// A register driver bound to the managed device.
     pub fn hc(&self) -> HcDriver<'_> {
-        HcDriver::probe(&self.bus, self.hc_base).expect("validated at construction")
+        driver(&self.bus, self.hc_base)
     }
 
     /// Creates a new domain and returns its ID.
@@ -422,21 +474,25 @@ impl Hypervisor {
             .ok_or(HvError::UnknownDomain(id))
     }
 
+    fn record(&mut self, port: PortId) -> &mut PortRecord {
+        self.ports.entry(port.0).or_default()
+    }
+
     /// Assigns interconnect port `port` to `domain` (each port belongs
     /// to exactly one domain — the isolation granted via standard memory
     /// virtualization in the paper's framework).
     pub fn assign_port(&mut self, domain: DomainId, port: PortId) -> Result<(), HvError> {
-        if self.port_owner.contains_key(&port.0) {
+        if self.owner_of(port).is_some() {
             return Err(HvError::PortTaken(port));
         }
         self.domain_mut(domain)?.assign(port);
-        self.port_owner.insert(port.0, domain);
+        self.record(port).owner = Some(domain);
         Ok(())
     }
 
     /// The domain owning `port`, if any.
     pub fn owner_of(&self, port: PortId) -> Option<DomainId> {
-        self.port_owner.get(&port.0).copied()
+        self.ports.get(&port.0).and_then(|r| r.owner)
     }
 
     /// Routes an accelerator-completion interrupt from `port` to its
@@ -463,10 +519,21 @@ impl Hypervisor {
             .set_bandwidth_shares(shares_percent, mem_first_word_latency)?)
     }
 
+    /// The most recent monitor, watchdog, recovery and integrity
+    /// events in the order they happened, oldest first (at most
+    /// [`HEALTH_LOG_CAPACITY`] across all kinds).
+    pub fn events(&self) -> &VecDeque<HvEvent> {
+        &self.log.events
+    }
+
+    /// Events discarded because the log was full.
+    pub fn events_dropped(&self) -> u64 {
+        self.log.dropped
+    }
+
     /// Installs a health-monitoring policy for a port.
     pub fn set_monitor_policy(&mut self, port: PortId, policy: MonitorPolicy) {
-        self.policies.insert(port.0, policy);
-        self.monitor.entry(port.0).or_default();
+        self.record(port).monitor_policy = Some(policy);
     }
 
     /// Polls the per-period transaction counters and decouples any port
@@ -474,70 +541,49 @@ impl Hypervisor {
     /// number of consecutive polls. Returns the ports decoupled by this
     /// poll. Intended to be called once per reservation period.
     pub fn poll_health(&mut self) -> Result<Vec<DecoupleEvent>, HvError> {
+        let hc = driver(&self.bus, self.hc_base);
         let mut events = Vec::new();
-        let mut ports: Vec<usize> = self.policies.keys().copied().collect();
-        ports.sort_unstable();
-        for p in ports {
-            let policy = self.policies[&p];
-            if self.monitor.get(&p).is_some_and(|s| s.decoupled_by_monitor) {
+        for (&p, rec) in &mut self.ports {
+            let Some(policy) = rec.monitor_policy else {
+                continue;
+            };
+            let state = &mut rec.monitor;
+            if state.decoupled_by_monitor {
                 // The flag says we decoupled this port, but the device
                 // may have been recoupled behind our back (e.g. via
                 // `HcDriver::set_decoupled(p, false)`). Re-arm the
                 // monitor instead of skipping the port forever on
                 // stale state.
-                if self.hc().is_decoupled(p)? {
+                if hc.is_decoupled(p)? {
                     continue;
                 }
-                self.monitor.insert(p, MonitorState::default());
+                *state = MonitorState::default();
             }
-            let observed = self.hc().txns_this_period(p)?;
+            let observed = hc.txns_this_period(p)?;
             let violating = observed > policy.declared_txns_per_period;
-            let violations = {
-                let state = self.monitor.entry(p).or_default();
-                if violating {
-                    state.consecutive_violations += 1;
-                } else {
-                    state.consecutive_violations = 0;
-                }
-                state.consecutive_violations
-            };
-            if violating && violations > policy.violations_allowed {
-                self.hc().set_decoupled(p, true)?;
-                self.monitor
-                    .get_mut(&p)
-                    .expect("inserted above")
-                    .decoupled_by_monitor = true;
+            if violating {
+                state.consecutive_violations += 1;
+            } else {
+                state.consecutive_violations = 0;
+            }
+            if violating && state.consecutive_violations > policy.violations_allowed {
+                hc.set_decoupled(p, true)?;
+                state.decoupled_by_monitor = true;
                 let event = DecoupleEvent {
                     port: PortId(p),
                     observed,
                     declared: policy.declared_txns_per_period,
                 };
-                push_capped(
-                    &mut self.decouple_log,
-                    &mut self.decouple_log_dropped,
-                    event.clone(),
-                );
+                self.log.push(HvEvent::Decouple(event));
                 events.push(event);
             }
         }
         Ok(events)
     }
 
-    /// The most recent decoupling events (at most
-    /// [`HEALTH_LOG_CAPACITY`]).
-    pub fn decouple_log(&self) -> &[DecoupleEvent] {
-        &self.decouple_log
-    }
-
-    /// Decoupling events discarded because the log was full.
-    pub fn decouple_log_dropped(&self) -> u64 {
-        self.decouple_log_dropped
-    }
-
     /// Installs a watchdog policy for a port.
     pub fn set_watchdog_policy(&mut self, port: PortId, policy: WatchdogPolicy) {
-        self.watchdog_policies.insert(port.0, policy);
-        self.watchdog.entry(port.0).or_default();
+        self.record(port).watchdog_policy = Some(policy);
     }
 
     /// Polls the violation and outstanding counters of every watched
@@ -548,98 +594,63 @@ impl Hypervisor {
     /// this can be called at any rate; a port is decoupled at the first
     /// poll that observes it over threshold.
     pub fn poll_watchdog(&mut self) -> Result<Vec<WatchdogEvent>, HvError> {
+        let hc = driver(&self.bus, self.hc_base);
         let mut events = Vec::new();
-        let mut ports: Vec<usize> = self.watchdog_policies.keys().copied().collect();
-        ports.sort_unstable();
-        for p in ports {
-            let policy = self.watchdog_policies[&p];
-            if self
-                .watchdog
-                .get(&p)
-                .is_some_and(|s| s.decoupled_by_watchdog)
-            {
+        for (&p, rec) in &mut self.ports {
+            let Some(policy) = rec.watchdog_policy else {
+                continue;
+            };
+            let state = &mut rec.watchdog;
+            if state.decoupled_by_watchdog {
                 // Same stale-state hazard as the health monitor: if the
                 // device was recoupled directly, re-arm rather than
                 // skipping the port forever.
-                if self.hc().is_decoupled(p)? {
+                if hc.is_decoupled(p)? {
                     continue;
                 }
-                self.rearm_watchdog(p)?;
+                *state = WatchdogState::rearmed(&hc, p)?;
             }
-            let violations = self.hc().violations(p)?;
-            let outstanding = self.hc().outstanding(p)?;
-            let txns_total = self.hc().txns_total(p)?;
-            let (stall_tripped, baseline) = {
-                let state = self.watchdog.entry(p).or_default();
-                let frozen =
-                    outstanding > 0 && state.last_progress == Some((txns_total, outstanding));
-                if frozen {
-                    state.stalled_polls += 1;
-                } else {
-                    state.stalled_polls = 0;
-                }
-                state.last_progress = Some((txns_total, outstanding));
-                let over = policy
-                    .stall_polls_allowed
-                    .is_some_and(|cap| state.stalled_polls > cap);
-                (over, state.violations_baseline)
-            };
-            let reason = if violations.saturating_sub(baseline) > policy.violations_allowed {
+            let violations = hc.violations(p)?;
+            let outstanding = hc.outstanding(p)?;
+            let txns_total = hc.txns_total(p)?;
+            let frozen = outstanding > 0 && state.last_progress == Some((txns_total, outstanding));
+            if frozen {
+                state.stalled_polls += 1;
+            } else {
+                state.stalled_polls = 0;
+            }
+            state.last_progress = Some((txns_total, outstanding));
+            let reason = if violations.saturating_sub(state.violations_baseline)
+                > policy.violations_allowed
+            {
                 Some(WatchdogReason::Violations)
             } else if policy
                 .outstanding_allowed
                 .is_some_and(|cap| outstanding > cap)
             {
                 Some(WatchdogReason::Outstanding)
-            } else if stall_tripped {
+            } else if policy
+                .stall_polls_allowed
+                .is_some_and(|cap| state.stalled_polls > cap)
+            {
                 Some(WatchdogReason::Stalled)
             } else {
                 None
             };
             if let Some(reason) = reason {
-                self.hc().set_decoupled(p, true)?;
-                self.watchdog.entry(p).or_default().decoupled_by_watchdog = true;
+                hc.set_decoupled(p, true)?;
+                state.decoupled_by_watchdog = true;
                 let event = WatchdogEvent {
                     port: PortId(p),
                     reason,
                     violations,
                     outstanding,
                 };
-                push_capped(
-                    &mut self.watchdog_log,
-                    &mut self.watchdog_log_dropped,
-                    event.clone(),
-                );
+                self.log.push(HvEvent::Watchdog(event));
                 events.push(event);
             }
         }
         Ok(events)
-    }
-
-    /// Resets a port's watchdog state, rebasing the cumulative
-    /// violation counter at its current value so pre-recovery history
-    /// does not immediately re-trip the watchdog.
-    fn rearm_watchdog(&mut self, p: usize) -> Result<(), HvError> {
-        let baseline = self.hc().violations(p)?;
-        self.watchdog.insert(
-            p,
-            WatchdogState {
-                violations_baseline: baseline,
-                ..WatchdogState::default()
-            },
-        );
-        Ok(())
-    }
-
-    /// The most recent watchdog decoupling events (at most
-    /// [`HEALTH_LOG_CAPACITY`]).
-    pub fn watchdog_log(&self) -> &[WatchdogEvent] {
-        &self.watchdog_log
-    }
-
-    /// Watchdog events discarded because the log was full.
-    pub fn watchdog_log_dropped(&self) -> u64 {
-        self.watchdog_log_dropped
     }
 
     /// Installs (or re-arms) a data-integrity policy for a port,
@@ -655,14 +666,12 @@ impl Hypervisor {
         policy: IntegrityPolicy,
     ) -> Result<(), HvError> {
         let baseline = self.hc().err_total(port.0)?;
-        self.integrity_policies.insert(port.0, policy);
-        self.integrity.insert(
-            port.0,
-            IntegrityState {
-                errors_baseline: baseline,
-                flagged: false,
-            },
-        );
+        let rec = self.record(port);
+        rec.integrity_policy = Some(policy);
+        rec.integrity = IntegrityState {
+            errors_baseline: baseline,
+            flagged: false,
+        };
         Ok(())
     }
 
@@ -673,16 +682,17 @@ impl Hypervisor {
     /// [`Hypervisor::set_integrity_policy`] — typically after the
     /// platform layer quarantined the sick region).
     pub fn poll_integrity(&mut self) -> Result<Vec<IntegrityEvent>, HvError> {
+        let hc = driver(&self.bus, self.hc_base);
         let mut events = Vec::new();
-        let mut ports: Vec<usize> = self.integrity_policies.keys().copied().collect();
-        ports.sort_unstable();
-        for p in ports {
-            let policy = self.integrity_policies[&p];
-            if self.integrity.get(&p).is_some_and(|s| s.flagged) {
+        for (&p, rec) in &mut self.ports {
+            let Some(policy) = rec.integrity_policy else {
+                continue;
+            };
+            let state = &mut rec.integrity;
+            if state.flagged {
                 continue;
             }
-            let err_total = self.hc().err_total(p)?;
-            let state = self.integrity.entry(p).or_default();
+            let err_total = hc.err_total(p)?;
             if err_total.saturating_sub(state.errors_baseline) > policy.errors_allowed {
                 state.flagged = true;
                 let event = IntegrityEvent {
@@ -690,25 +700,11 @@ impl Hypervisor {
                     err_total,
                     errors_allowed: policy.errors_allowed,
                 };
-                push_capped(
-                    &mut self.integrity_log,
-                    &mut self.integrity_log_dropped,
-                    event,
-                );
+                self.log.push(HvEvent::Integrity(event));
                 events.push(event);
             }
         }
         Ok(events)
-    }
-
-    /// The most recent integrity events (at most [`HEALTH_LOG_CAPACITY`]).
-    pub fn integrity_log(&self) -> &[IntegrityEvent] {
-        &self.integrity_log
-    }
-
-    /// Integrity events discarded because the log was full.
-    pub fn integrity_log_dropped(&self) -> u64 {
-        self.integrity_log_dropped
     }
 
     /// Manually recouples a port (e.g. after the offending domain was
@@ -718,9 +714,11 @@ impl Hypervisor {
     /// so the watchdog's baseline is rebased at the current reading —
     /// only *new* violations count against the recoupled port.
     pub fn recouple(&mut self, port: PortId) -> Result<(), HvError> {
-        self.hc().set_decoupled(port.0, false)?;
-        self.monitor.insert(port.0, MonitorState::default());
-        self.rearm_watchdog(port.0)?;
+        let hc = driver(&self.bus, self.hc_base);
+        hc.set_decoupled(port.0, false)?;
+        let rec = self.ports.entry(port.0).or_default();
+        rec.monitor = MonitorState::default();
+        rec.watchdog = WatchdogState::rearmed(&hc, port.0)?;
         Ok(())
     }
 
@@ -728,48 +726,20 @@ impl Hypervisor {
     /// [`RecoveryState`] machine driven by
     /// [`Hypervisor::poll_recovery`].
     pub fn set_recovery_policy(&mut self, port: PortId, policy: RecoveryPolicy) {
-        self.recovery_policies.insert(port.0, policy);
-        self.recovery.entry(port.0).or_default();
+        self.record(port).recovery_policy = Some(policy);
     }
 
     /// Current recovery state of a port (if a policy is installed).
     pub fn recovery_state(&self, port: PortId) -> Option<RecoveryState> {
-        self.recovery.get(&port.0).map(|s| s.state)
+        let rec = self.ports.get(&port.0)?;
+        rec.recovery_policy.map(|_| rec.recovery.state)
     }
 
     /// Failed recovery attempts recorded for a port so far.
     pub fn failed_recoveries(&self, port: PortId) -> u32 {
-        self.recovery
+        self.ports
             .get(&port.0)
-            .map_or(0, |s| s.failed_recoveries)
-    }
-
-    /// The most recent recovery transitions (at most
-    /// [`HEALTH_LOG_CAPACITY`]).
-    pub fn recovery_log(&self) -> &[RecoveryTransition] {
-        &self.recovery_log
-    }
-
-    /// Recovery transitions discarded because the log was full.
-    pub fn recovery_log_dropped(&self) -> u64 {
-        self.recovery_log_dropped
-    }
-
-    /// Whether a port's health signals look bad *right now*: it was
-    /// decoupled by the monitor or watchdog, or violations / stall
-    /// polls are accumulating toward a threshold.
-    fn port_suspect_signals(&self, p: usize) -> (bool, bool) {
-        let hard = self.monitor.get(&p).is_some_and(|s| s.decoupled_by_monitor)
-            || self
-                .watchdog
-                .get(&p)
-                .is_some_and(|s| s.decoupled_by_watchdog);
-        let soft = self
-            .monitor
-            .get(&p)
-            .is_some_and(|s| s.consecutive_violations > 0)
-            || self.watchdog.get(&p).is_some_and(|s| s.stalled_polls > 0);
-        (hard, soft)
+            .map_or(0, |r| r.recovery.failed_recoveries)
     }
 
     /// One tick of the recovery state machine, intended to run once per
@@ -799,23 +769,24 @@ impl Hypervisor {
     pub fn poll_recovery(&mut self) -> Result<Vec<RecoveryTransition>, HvError> {
         self.poll_health()?;
         self.poll_watchdog()?;
+        let hc = driver(&self.bus, self.hc_base);
         let mut transitions = Vec::new();
-        let mut ports: Vec<usize> = self.recovery_policies.keys().copied().collect();
-        ports.sort_unstable();
-        for p in ports {
-            let policy = self.recovery_policies[&p];
-            let (hard, soft) = self.port_suspect_signals(p);
-            let state = *self.recovery.entry(p).or_default();
+        for (&p, rec) in &mut self.ports {
+            let Some(policy) = rec.recovery_policy else {
+                continue;
+            };
+            let (hard, soft) = rec.suspect_signals();
+            let state = rec.recovery;
             let mut next = state;
             let mut dropped = 0;
             match state.state {
                 RecoveryState::Healthy => {
                     if hard {
-                        self.hc().request_quiesce(p)?;
+                        hc.request_quiesce(p)?;
                         next.state = RecoveryState::Draining;
                     } else if soft {
-                        next.saved_budget = self.hc().budget(p)?;
-                        self.hc().set_budget(p, policy.throttle_budget)?;
+                        next.saved_budget = hc.budget(p)?;
+                        hc.set_budget(p, policy.throttle_budget)?;
                         next.state = RecoveryState::Suspect;
                         next.polls_in_state = 0;
                     }
@@ -823,30 +794,28 @@ impl Hypervisor {
                 RecoveryState::Suspect => {
                     next.polls_in_state += 1;
                     if hard || next.polls_in_state > policy.suspect_polls {
-                        self.hc().set_budget(p, state.saved_budget)?;
-                        self.hc().request_quiesce(p)?;
+                        hc.set_budget(p, state.saved_budget)?;
+                        hc.request_quiesce(p)?;
                         next.state = RecoveryState::Draining;
                     } else if !soft {
-                        self.hc().set_budget(p, state.saved_budget)?;
+                        hc.set_budget(p, state.saved_budget)?;
                         next.state = RecoveryState::Healthy;
                     }
                 }
                 RecoveryState::Draining => {
-                    let status = self.hc().quiesce_status(p)?;
+                    let status = hc.quiesce_status(p)?;
                     if status.drained || status.force_flushed {
                         dropped = status.dropped_txns;
-                        self.hc().set_decoupled(p, true)?;
+                        hc.set_decoupled(p, true)?;
                         next.state = RecoveryState::Decoupled;
-                        next.backoff_left = (policy.backoff_base
-                            << state.failed_recoveries.min(16))
-                        .min(policy.backoff_cap);
+                        next.backoff_left = policy.backoff_polls(state.failed_recoveries);
                     }
                 }
                 RecoveryState::Decoupled => {
                     if state.backoff_left > 0 {
                         next.backoff_left = state.backoff_left - 1;
                     } else {
-                        self.hc().reset_port(p)?;
+                        hc.reset_port(p)?;
                         next.state = RecoveryState::Resetting;
                         next.polls_in_state = 0;
                     }
@@ -854,9 +823,9 @@ impl Hypervisor {
                 RecoveryState::Resetting => {
                     next.polls_in_state += 1;
                     if next.polls_in_state >= policy.reset_polls {
-                        self.hc().reattach_port(p)?;
-                        self.monitor.insert(p, MonitorState::default());
-                        self.rearm_watchdog(p)?;
+                        hc.reattach_port(p)?;
+                        rec.monitor = MonitorState::default();
+                        rec.watchdog = WatchdogState::rearmed(&hc, p)?;
                         next.state = RecoveryState::Probation;
                         next.polls_in_state = 0;
                     }
@@ -865,10 +834,10 @@ impl Hypervisor {
                     if hard || soft {
                         next.failed_recoveries = state.failed_recoveries + 1;
                         if next.failed_recoveries >= policy.max_recoveries {
-                            self.hc().set_decoupled(p, true)?;
+                            hc.set_decoupled(p, true)?;
                             next.state = RecoveryState::Quarantined;
                         } else {
-                            self.hc().request_quiesce(p)?;
+                            hc.request_quiesce(p)?;
                             next.state = RecoveryState::Draining;
                         }
                     } else {
@@ -888,15 +857,11 @@ impl Hypervisor {
                     to: next.state,
                     dropped_txns: dropped,
                 };
-                push_capped(
-                    &mut self.recovery_log,
-                    &mut self.recovery_log_dropped,
-                    transition,
-                );
+                self.log.push(HvEvent::Recovery(transition));
                 transitions.push(transition);
                 next.polls_in_state = 0;
             }
-            self.recovery.insert(p, next);
+            rec.recovery = next;
         }
         Ok(transitions)
     }
@@ -1146,61 +1111,100 @@ mod persist_impls {
         }
     }
 
-    /// Serializes a port-keyed map sorted by port number, so the byte
-    /// stream does not depend on hash-map iteration order.
-    fn save_port_map<V: PersistValue>(map: &HashMap<usize, V>, w: &mut SnapshotWriter) {
-        let mut keys: Vec<usize> = map.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for k in keys {
-            w.put_usize(k);
-            map[&k].save_value(w);
+    impl PersistValue for PortRecord {
+        fn save_value(&self, w: &mut SnapshotWriter) {
+            self.owner.save_value(w);
+            self.monitor_policy.save_value(w);
+            self.monitor.save_value(w);
+            self.watchdog_policy.save_value(w);
+            self.watchdog.save_value(w);
+            self.recovery_policy.save_value(w);
+            self.recovery.save_value(w);
+            self.integrity_policy.save_value(w);
+            self.integrity.save_value(w);
+        }
+        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
+            Ok(Self {
+                owner: Option::load_value(r)?,
+                monitor_policy: Option::load_value(r)?,
+                monitor: MonitorState::load_value(r)?,
+                watchdog_policy: Option::load_value(r)?,
+                watchdog: WatchdogState::load_value(r)?,
+                recovery_policy: Option::load_value(r)?,
+                recovery: RecoveryPortState::load_value(r)?,
+                integrity_policy: Option::load_value(r)?,
+                integrity: IntegrityState::load_value(r)?,
+            })
         }
     }
 
-    fn load_port_map<V: PersistValue>(
-        r: &mut SnapshotReader<'_>,
-    ) -> Result<HashMap<usize, V>, PersistError> {
-        let n = r.take_usize()?;
-        if n > r.remaining() {
-            return Err(PersistError::Corrupt("port map count exceeds stream"));
+    impl PersistValue for HvEvent {
+        fn save_value(&self, w: &mut SnapshotWriter) {
+            match self {
+                HvEvent::Decouple(e) => {
+                    w.put_u8(0);
+                    e.save_value(w);
+                }
+                HvEvent::Watchdog(e) => {
+                    w.put_u8(1);
+                    e.save_value(w);
+                }
+                HvEvent::Recovery(e) => {
+                    w.put_u8(2);
+                    e.save_value(w);
+                }
+                HvEvent::Integrity(e) => {
+                    w.put_u8(3);
+                    e.save_value(w);
+                }
+            }
         }
-        let mut map = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.take_usize()?;
-            map.insert(k, V::load_value(r)?);
+        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
+            Ok(match r.take_u8()? {
+                0 => HvEvent::Decouple(DecoupleEvent::load_value(r)?),
+                1 => HvEvent::Watchdog(WatchdogEvent::load_value(r)?),
+                2 => HvEvent::Recovery(RecoveryTransition::load_value(r)?),
+                3 => HvEvent::Integrity(IntegrityEvent::load_value(r)?),
+                _ => return Err(PersistError::Corrupt("unknown hypervisor event kind")),
+            })
         }
-        Ok(map)
+    }
+
+    impl PersistValue for EventLog {
+        fn save_value(&self, w: &mut SnapshotWriter) {
+            self.events.save_value(w);
+            w.put_u64(self.dropped);
+        }
+        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
+            let events = VecDeque::load_value(r)?;
+            // `EventLog::push` evicts only at exactly the capacity, so an
+            // over-long log would never shrink back under it.
+            if events.len() > HEALTH_LOG_CAPACITY {
+                return Err(PersistError::Corrupt("hypervisor event log over capacity"));
+            }
+            Ok(Self {
+                events,
+                dropped: r.take_u64()?,
+            })
+        }
     }
 
     impl Hypervisor {
         /// Serializes the hypervisor's software state: the domain table,
-        /// port ownership, the monitor/watchdog/recovery policies and
-        /// their per-port state, and the three bounded event logs with
-        /// their dropped counters.
+        /// the port records in port order (owner, the monitor, watchdog,
+        /// recovery and integrity policies and their per-port state),
+        /// and the bounded event log with its dropped counter.
         ///
         /// The control bus and the managed device are *not* part of this
         /// stream — the HyperConnect persists its own register file, and
         /// the restored hypervisor keeps the bus it was constructed with.
         pub fn save_state(&self, w: &mut SnapshotWriter) {
             self.domains.save_value(w);
-            save_port_map(&self.port_owner, w);
-            save_port_map(&self.policies, w);
-            save_port_map(&self.monitor, w);
-            self.decouple_log.save_value(w);
-            w.put_u64(self.decouple_log_dropped);
-            save_port_map(&self.watchdog_policies, w);
-            save_port_map(&self.watchdog, w);
-            self.watchdog_log.save_value(w);
-            w.put_u64(self.watchdog_log_dropped);
-            save_port_map(&self.recovery_policies, w);
-            save_port_map(&self.recovery, w);
-            self.recovery_log.save_value(w);
-            w.put_u64(self.recovery_log_dropped);
-            save_port_map(&self.integrity_policies, w);
-            save_port_map(&self.integrity, w);
-            self.integrity_log.save_value(w);
-            w.put_u64(self.integrity_log_dropped);
+            w.put_usize(self.ports.len());
+            for (&p, rec) in &self.ports {
+                (p, *rec).save_value(w);
+            }
+            self.log.save_value(w);
         }
 
         /// Restores state saved by [`Hypervisor::save_state`]. All
@@ -1208,41 +1212,14 @@ mod persist_impls {
         /// stream leaves the hypervisor untouched.
         pub fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), PersistError> {
             let domains = Vec::load_value(r)?;
-            let port_owner = load_port_map(r)?;
-            let policies = load_port_map(r)?;
-            let monitor = load_port_map(r)?;
-            let decouple_log = Vec::load_value(r)?;
-            let decouple_log_dropped = r.take_u64()?;
-            let watchdog_policies = load_port_map(r)?;
-            let watchdog = load_port_map(r)?;
-            let watchdog_log = Vec::load_value(r)?;
-            let watchdog_log_dropped = r.take_u64()?;
-            let recovery_policies = load_port_map(r)?;
-            let recovery = load_port_map(r)?;
-            let recovery_log = Vec::load_value(r)?;
-            let recovery_log_dropped = r.take_u64()?;
-            let integrity_policies = load_port_map(r)?;
-            let integrity = load_port_map(r)?;
-            let integrity_log = Vec::load_value(r)?;
-            let integrity_log_dropped = r.take_u64()?;
+            let ports: Vec<(usize, PortRecord)> = Vec::load_value(r)?;
+            if ports.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+                return Err(PersistError::Corrupt("port records out of order"));
+            }
+            let log = EventLog::load_value(r)?;
             self.domains = domains;
-            self.port_owner = port_owner;
-            self.policies = policies;
-            self.monitor = monitor;
-            self.decouple_log = decouple_log;
-            self.decouple_log_dropped = decouple_log_dropped;
-            self.watchdog_policies = watchdog_policies;
-            self.watchdog = watchdog;
-            self.watchdog_log = watchdog_log;
-            self.watchdog_log_dropped = watchdog_log_dropped;
-            self.recovery_policies = recovery_policies;
-            self.recovery = recovery;
-            self.recovery_log = recovery_log;
-            self.recovery_log_dropped = recovery_log_dropped;
-            self.integrity_policies = integrity_policies;
-            self.integrity = integrity;
-            self.integrity_log = integrity_log;
-            self.integrity_log_dropped = integrity_log_dropped;
+            self.ports = ports.into_iter().collect();
+            self.log = log;
             Ok(())
         }
     }
@@ -1345,7 +1322,7 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].port, PortId(0));
         assert!(hv.hc().is_decoupled(0).unwrap());
-        assert_eq!(hv.decouple_log().len(), 1);
+        assert_eq!(hv.events().len(), 1);
         // Already-decoupled ports are not re-reported.
         assert!(hv.poll_health().unwrap().is_empty());
         // Recoupling clears state.
@@ -1395,8 +1372,8 @@ mod tests {
         assert_eq!(events[0].port, PortId(0));
         assert_eq!(events[0].err_total, 2);
         assert_eq!(events[0].errors_allowed, 1);
-        assert_eq!(hv.integrity_log().len(), 1);
-        assert_eq!(hv.integrity_log_dropped(), 0);
+        assert_eq!(hv.events().len(), 1);
+        assert_eq!(hv.events_dropped(), 0);
         // Latched: more errors do not re-fire until re-armed.
         run_errored_read(&mut hc, Resp::SlvErr);
         assert!(hv.poll_integrity().unwrap().is_empty());
@@ -1440,8 +1417,8 @@ mod tests {
         let (mut hv2, _hc2) = hypervisor(2);
         let mut r = SnapshotReader::new(&bytes);
         hv2.restore_state(&mut r).unwrap();
-        assert_eq!(hv2.integrity_log(), hv.integrity_log());
-        assert_eq!(hv2.integrity_log_dropped(), hv.integrity_log_dropped());
+        assert_eq!(hv2.events(), hv.events());
+        assert_eq!(hv2.events_dropped(), hv.events_dropped());
         // The latch survived the snapshot: no duplicate event.
         assert!(hv2.poll_integrity().unwrap().is_empty());
 
@@ -1502,7 +1479,7 @@ mod tests {
         assert_eq!(events[0].reason, WatchdogReason::Violations);
         assert!(events[0].violations > 0);
         assert!(hv.hc().is_decoupled(0).unwrap());
-        assert_eq!(hv.watchdog_log().len(), 1);
+        assert_eq!(hv.events().len(), 1);
         // Already decoupled: no duplicate reports.
         assert!(hv.poll_watchdog().unwrap().is_empty());
     }
@@ -1626,7 +1603,7 @@ mod tests {
         let events = hv.poll_health().unwrap();
         assert_eq!(events.len(), 1);
         assert!(hv.hc().is_decoupled(0).unwrap());
-        assert_eq!(hv.decouple_log().len(), 2);
+        assert_eq!(hv.events().len(), 2);
     }
 
     #[test]
@@ -1694,9 +1671,12 @@ mod tests {
             assert_eq!(hv.poll_watchdog().unwrap().len(), 1);
             hv.recouple(PortId(0)).unwrap();
         }
-        assert_eq!(hv.watchdog_log().len(), HEALTH_LOG_CAPACITY);
-        assert_eq!(hv.watchdog_log_dropped(), 10);
-        assert_eq!(hv.decouple_log_dropped(), 0);
+        assert_eq!(hv.events().len(), HEALTH_LOG_CAPACITY);
+        assert_eq!(hv.events_dropped(), 10);
+        assert!(hv
+            .events()
+            .iter()
+            .all(|e| matches!(e, HvEvent::Watchdog(_))));
     }
 
     #[test]
@@ -1786,7 +1766,13 @@ mod tests {
         let t = hv.poll_recovery().unwrap();
         assert_eq!(t[0].from, RecoveryState::Healthy);
         assert_eq!(t[0].to, RecoveryState::Draining);
-        assert_eq!(hv.watchdog_log()[0].reason, WatchdogReason::Stalled);
+        assert!(matches!(
+            hv.events()[0],
+            HvEvent::Watchdog(WatchdogEvent {
+                reason: WatchdogReason::Stalled,
+                ..
+            })
+        ));
         // The watchdog decoupled the port, so the granted-but-starved
         // write completes through firewall-beat synthesis (memory side
         // serviced below). The accelerator still owes the TS its W
@@ -1825,7 +1811,11 @@ mod tests {
         assert_eq!(t[0].to, RecoveryState::Healthy);
         assert_eq!(hv.recovery_state(PortId(0)), Some(RecoveryState::Healthy));
         assert_eq!(hv.failed_recoveries(PortId(0)), 0);
-        assert_eq!(hv.recovery_log().len(), 5);
+        let recoveries = hv
+            .events()
+            .iter()
+            .filter(|e| matches!(e, HvEvent::Recovery(_)));
+        assert_eq!(recoveries.count(), 5);
     }
 
     #[test]
@@ -1977,6 +1967,103 @@ mod tests {
         assert!(err.is_err());
         // Decode-before-apply: the failed restore left state untouched.
         assert_eq!(hv.domains().len(), before_domains);
+    }
+
+    #[test]
+    fn watchdog_trip_is_logged_before_the_recovery_it_starts() {
+        use axi::types::BurstSize;
+        use axi::{AwBeat, AxiInterconnect};
+        use sim::Component;
+
+        let (mut hv, mut hc) = hypervisor(2);
+        hv.set_watchdog_policy(
+            PortId(0),
+            WatchdogPolicy {
+                stall_polls_allowed: Some(0),
+                ..WatchdogPolicy::default()
+            },
+        );
+        hv.set_recovery_policy(PortId(0), RecoveryPolicy::default());
+        // Stuck-valid writer: the staged AW never gets its data.
+        hc.port(0)
+            .aw
+            .push(0, AwBeat::new(0x0, 4, BurstSize::B4))
+            .unwrap();
+        for now in 0..20 {
+            hc.tick(now);
+        }
+        assert!(hv.poll_recovery().unwrap().is_empty());
+        // One poll both trips the watchdog and starts the drain; the log
+        // keeps them in the order they happened.
+        hv.poll_recovery().unwrap();
+        let events: Vec<HvEvent> = hv.events().iter().copied().collect();
+        assert!(
+            matches!(
+                events.as_slice(),
+                [
+                    HvEvent::Watchdog(WatchdogEvent {
+                        reason: WatchdogReason::Stalled,
+                        ..
+                    }),
+                    HvEvent::Recovery(RecoveryTransition {
+                        from: RecoveryState::Healthy,
+                        to: RecoveryState::Draining,
+                        ..
+                    }),
+                ]
+            ),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn reattach_backoff_saturates_at_the_cap() {
+        let policy = RecoveryPolicy {
+            backoff_base: 1 << 17,
+            backoff_cap: 8,
+            ..RecoveryPolicy::default()
+        };
+        // 2^17 · 2^15 overflows u32; the shift used to drop the high
+        // bit and wait 0 polls.
+        assert_eq!(policy.backoff_polls(15), 8);
+        assert_eq!(policy.backoff_polls(u32::MAX), 8);
+        let doubling: Vec<u32> = (0..5)
+            .map(|f| RecoveryPolicy::default().backoff_polls(f))
+            .collect();
+        assert_eq!(doubling, [1, 2, 4, 8, 8]);
+    }
+
+    #[test]
+    fn restore_rejects_event_log_over_capacity() {
+        use sim::persist::{SnapshotReader, SnapshotWriter};
+
+        let (mut hv, _hc) = hypervisor(2);
+        let event = HvEvent::Integrity(IntegrityEvent {
+            port: PortId(0),
+            err_total: 1,
+            errors_allowed: 0,
+        });
+        for _ in 0..HEALTH_LOG_CAPACITY {
+            hv.log.push(event);
+        }
+        let mut w = SnapshotWriter::new();
+        hv.save_state(&mut w);
+        let full = w.into_bytes();
+        let (mut fresh, _hc2) = hypervisor(2);
+        fresh
+            .restore_state(&mut SnapshotReader::new(&full))
+            .unwrap();
+        assert_eq!(fresh.events().len(), HEALTH_LOG_CAPACITY);
+
+        // One entry past the cap: a log `push` would never trim again.
+        hv.log.events.push_back(event);
+        let mut w = SnapshotWriter::new();
+        hv.save_state(&mut w);
+        let err = fresh
+            .restore_state(&mut SnapshotReader::new(&w.into_bytes()))
+            .unwrap_err();
+        assert!(matches!(err, sim::PersistError::Corrupt(_)), "{err:?}");
+        assert_eq!(fresh.events().len(), HEALTH_LOG_CAPACITY);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   [`stats::Histogram`], [`stats::BandwidthMeter`]) used to produce the
 //!   numbers reported in the paper's figures.
 //! * [`SimRng`] — a seeded RNG wrapper so every experiment is reproducible.
-//! * [`trace::Tracer`] — a bounded in-memory event trace for debugging.
+//! * [`persist`] — the versioned snapshot format every model saves and
+//!   restores its state through.
+//! * [`vcd`] — a minimal VCD waveform writer for debugging handshakes.
 //!
 //! # Example
 //!
@@ -39,7 +41,6 @@ pub mod ring;
 pub mod rng;
 pub mod runner;
 pub mod stats;
-pub mod trace;
 pub mod vcd;
 
 pub use clock::{ClockConfig, Cycle};

@@ -15,7 +15,7 @@ use ha::fault::{BoundaryViolator, RogueReader, RunawayMaster, StalledWriter, Wla
 use ha::traffic::PeriodicReader;
 use hyperconnect::analysis::ServiceModel;
 use hyperconnect::{HcConfig, HyperConnect};
-use hypervisor::{Hypervisor, WatchdogPolicy, WatchdogReason};
+use hypervisor::{HvEvent, Hypervisor, WatchdogEvent, WatchdogPolicy, WatchdogReason};
 use mem::{MemConfig, MemoryController};
 use sim::Cycle;
 
@@ -31,6 +31,17 @@ fn boot_hypervisor(hc: &HyperConnect) -> Hypervisor {
     let hv = Hypervisor::new(bus, HC_BASE).unwrap();
     hv.hc().set_period(PERIOD).unwrap();
     hv
+}
+
+/// The first watchdog decoupling in the hypervisor's event log.
+fn first_watchdog_event(hv: &Hypervisor) -> WatchdogEvent {
+    hv.events()
+        .iter()
+        .find_map(|e| match e {
+            HvEvent::Watchdog(w) => Some(*w),
+            _ => None,
+        })
+        .expect("the watchdog logged a decoupling")
 }
 
 /// The analysis bound every victim is held to: nominal-sized bursts
@@ -126,7 +137,7 @@ fn wlast_fault_is_reported_decoupled_and_victims_stay_bounded() {
         first.cycle,
         PERIOD
     );
-    let event = &hv.watchdog_log()[0];
+    let event = first_watchdog_event(&hv);
     assert_eq!(event.port, PortId(1));
     assert_eq!(event.reason, WatchdogReason::Violations);
     assert!(event.violations >= 1);
@@ -303,7 +314,7 @@ fn rogue_reader_gets_decerr_and_victims_are_unaffected() {
         .unwrap();
     assert!(rogue.error_responses() > 0, "rogue never saw its DECERRs");
     assert!(hv.hc().is_decoupled(1).unwrap());
-    assert_eq!(hv.watchdog_log()[0].reason, WatchdogReason::Violations);
+    assert_eq!(first_watchdog_event(&hv).reason, WatchdogReason::Violations);
 
     // The victim never saw an error and stays within its bound.
     assert_eq!(sys.interconnect_ref().total_violations(0), 0);
@@ -380,7 +391,7 @@ fn runaway_master_is_decoupled_on_outstanding_cap() {
     });
 
     assert!(hv.hc().is_decoupled(1).unwrap());
-    let event = &hv.watchdog_log()[0];
+    let event = first_watchdog_event(&hv);
     assert_eq!(event.reason, WatchdogReason::Outstanding);
     assert!(event.outstanding > 2);
     // Legal traffic, so the interconnect reported no protocol
@@ -442,7 +453,7 @@ fn stuck_valid_writer_trips_the_stall_detector() {
 
     let decoupled_at = decoupled_at.expect("stall detector never fired");
     assert!(hv.hc().is_decoupled(1).unwrap());
-    let event = &hv.watchdog_log()[0];
+    let event = first_watchdog_event(&hv);
     assert_eq!(event.port, PortId(1));
     assert_eq!(event.reason, WatchdogReason::Stalled);
     assert!(
@@ -552,7 +563,7 @@ fn stuck_ready_reader_trips_the_stall_detector() {
 
     assert!(decoupled_at.is_some(), "stall detector never fired");
     assert!(hv.hc().is_decoupled(1).unwrap());
-    let event = &hv.watchdog_log()[0];
+    let event = first_watchdog_event(&hv);
     assert_eq!(event.port, PortId(1));
     assert_eq!(event.reason, WatchdogReason::Stalled);
     // Legal traffic throughout: the checker saw nothing.
