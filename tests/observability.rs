@@ -16,16 +16,24 @@
 //! 3. **Zero bound violations on clean scenarios.** Randomized traffic
 //!    against the real ZCU102-model memory controller must stay inside
 //!    the closed-form worst-case bounds at every port count.
+//!
+//! A fourth test pins the registry's outputs byte for byte on the
+//! Fig. 5 `HC-50-50` contention pair, whose 256-beat DMA reads build
+//! the longest hop histories any workload produces.
 
+use axi::lite::LiteBus;
 use axi::observe::ObsChannel;
 use axi::types::BurstSize;
 use axi::AxiInterconnect;
 use axi_hyperconnect::SocSystem;
+use ha::chaidnn::{Chaidnn, ChaidnnConfig};
 use ha::dma::{Dma, DmaConfig};
 use ha::traffic::{PeriodicReader, RandomTraffic};
 use hyperconnect::analysis::propagation;
 use hyperconnect::{HcConfig, HyperConnect};
+use hypervisor::Hypervisor;
 use mem::{MemConfig, MemoryController};
+use sim::persist::crc32;
 
 /// Builds an observed system: HyperConnect with metrics + bound monitor
 /// armed, ZCU102-model memory with the protocol monitor attached.
@@ -190,4 +198,79 @@ fn bound_monitor_clean_across_port_counts() {
         );
         assert_propagation_floors(&sys);
     }
+}
+
+/// The Fig. 5 `HC-50-50` pair: CHaiDNN GoogleNet on port 0 and the
+/// case-study DMA (256-beat bursts) on port 1, with a 50/50 bandwidth
+/// reservation programmed through the hypervisor, observability armed.
+fn hc_50_50_observed() -> SocSystem<HyperConnect> {
+    const HC_BASE: u64 = 0xA000_0000;
+    let hc = HyperConnect::new(HcConfig::new(2));
+    let mut bus = LiteBus::new();
+    bus.map(HC_BASE, 0x1000, hc.regs().clone());
+    let hv = Hypervisor::new(bus, HC_BASE).expect("device present");
+    hv.hc().set_period(50_000).unwrap();
+    hv.set_bandwidth_shares(&[50, 50], MemConfig::zcu102().first_word_latency)
+        .unwrap();
+    let mut sys = SocSystem::new(hc, MemoryController::new(MemConfig::zcu102()));
+    sys.add_accelerator(Box::new(Chaidnn::googlenet(ChaidnnConfig::default())))
+        .unwrap();
+    sys.add_accelerator(Box::new(Dma::new("HA_DMA", DmaConfig::case_study())))
+        .unwrap();
+    sys.enable_observability();
+    sys
+}
+
+#[test]
+fn fig5_long_burst_outputs_are_pinned() {
+    // Byte-for-byte pins of everything the registry and bound monitor
+    // publish, so a faster registry can prove it changed nothing.
+    let mut sys = hc_50_50_observed();
+    sys.run_for(40_000);
+    let metrics = sys.interconnect_ref().metrics().unwrap();
+    assert!(metrics.inflight_len() > 0, "no reads in flight mid-run");
+    let mid = crc32(&sys.snapshot_bytes());
+
+    sys.run_for(40_000);
+    let json = sys.metrics_snapshot_json().unwrap();
+    let report = sys.interconnect_ref().bound_report().unwrap().to_json();
+    let metrics = sys.interconnect_ref().metrics().unwrap();
+    let mut hops = String::new();
+    let mut longest = 0;
+    for rec in metrics.completed() {
+        longest = longest.max(rec.hops.len());
+        hops.push_str(&format!(
+            "{} p{} w{} {}..{:?} {}B:",
+            rec.uid, rec.port, rec.is_write, rec.issued_at, rec.completed_at, rec.bytes
+        ));
+        for h in &rec.hops {
+            hops.push_str(&format!(
+                " {}/{}@{}",
+                h.hop.name(),
+                h.channel.name(),
+                h.cycle
+            ));
+        }
+        hops.push('\n');
+    }
+    // Several case-study reads (one MemResponded and one Delivered
+    // stamp per R beat) completed inside the ring.
+    let long_reads = metrics
+        .completed()
+        .filter(|r| !r.is_write && r.hops.len() > 2 * 256)
+        .count();
+    assert!(
+        long_reads >= 2,
+        "{long_reads} long reads, longest {longest} hops"
+    );
+    assert_eq!(
+        (
+            crc32(json.as_bytes()),
+            crc32(report.as_bytes()),
+            crc32(hops.as_bytes()),
+            mid
+        ),
+        (0xDA0D_8F31, 0x5CF2_CEC8, 0xA7C5_8EA9, 0x4ED3_35F7),
+        "{report}"
+    );
 }
