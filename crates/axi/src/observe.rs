@@ -24,7 +24,8 @@
 //! and the fast-forward scheduler (events only occur on progress cycles,
 //! which the fast-forward scheduler never skips).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use sim::stats::{BandwidthMeter, Gauge, Histogram, LatencyStat};
 use sim::Cycle;
@@ -301,13 +302,83 @@ impl PortMetrics {
     }
 }
 
+/// Multiply-shift hasher for the in-flight table's uid keys. uids
+/// (`(seq << 10) | (port + 1)`) are unique already; the multiply mixes
+/// every key bit into the high half of the product and the fold brings
+/// that down into the low bits the table indexes by.
+#[derive(Debug, Clone, Copy, Default)]
+struct UidHasher(u64);
+
+impl Hasher for UidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, uid: u64) {
+        self.0 = uid.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// An in-flight transaction: its record plus the cycle of its most
+/// recent `MemResponded` stamp, so the per-beat dedupe is one compare.
+#[derive(Debug, Clone, PartialEq)]
+struct Inflight {
+    rec: TxnRecord,
+    last_mem_responded: Option<Cycle>,
+}
+
+impl Inflight {
+    fn new(rec: TxnRecord) -> Self {
+        let last_mem_responded = rec
+            .hops
+            .iter()
+            .rev()
+            .find(|h| h.hop == Hop::MemResponded)
+            .map(|h| h.cycle);
+        Self {
+            rec,
+            last_mem_responded,
+        }
+    }
+
+    fn push(&mut self, ev: &ObsEvent) {
+        self.rec.hops.push(HopStamp {
+            hop: ev.hop,
+            channel: ev.channel,
+            cycle: ev.cycle,
+        });
+    }
+
+    /// Reconstructs the memory-emit hop from the response beat's
+    /// `hopped_at` stamp the first time a beat with that stamp shows
+    /// up. A transaction's response `ref_cycle`s never decrease, so a
+    /// stamp seen before is always the most recent one.
+    fn push_mem_responded(&mut self, ev: &ObsEvent) {
+        if self.last_mem_responded != Some(ev.ref_cycle) {
+            self.last_mem_responded = Some(ev.ref_cycle);
+            self.rec.hops.push(HopStamp {
+                hop: Hop::MemResponded,
+                channel: ev.channel,
+                cycle: ev.ref_cycle,
+            });
+        }
+    }
+}
+
 /// Aggregates the [`ObsEvent`] stream of one interconnect into per-port
 /// metrics and per-transaction hop histories.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     ports: Vec<PortMetrics>,
     master_efifo_occupancy: Gauge,
-    inflight: BTreeMap<u64, TxnRecord>,
+    /// In-flight transactions by uid; every event does one lookup.
+    inflight: HashMap<u64, Inflight, BuildHasherDefault<UidHasher>>,
     completed: VecDeque<TxnRecord>,
     /// Sub-transactions force-flushed by blown drain deadlines.
     dropped_subs: u64,
@@ -418,8 +489,8 @@ impl MetricsRegistry {
     /// The hop history of transaction `uid`, in flight or recently
     /// completed; empty if unknown.
     pub fn hops_of(&self, uid: u64) -> Vec<HopStamp> {
-        if let Some(rec) = self.inflight.get(&uid) {
-            return rec.hops.clone();
+        if let Some(t) = self.inflight.get(&uid) {
+            return t.rec.hops.clone();
         }
         self.completed
             .iter()
@@ -460,10 +531,12 @@ impl MetricsRegistry {
                         },
                     ],
                 };
-                self.inflight.insert(ev.uid, rec);
+                self.inflight.insert(ev.uid, Inflight::new(rec));
             }
             Hop::TsStaged | Hop::ExbarGranted => {
-                self.append_hop(ev);
+                if let Some(t) = self.inflight.get_mut(&ev.uid) {
+                    t.push(ev);
+                }
             }
             Hop::MemVisible => {
                 let visible = ev.cycle + 1;
@@ -480,10 +553,9 @@ impl MetricsRegistry {
                         }
                     }
                     ch => {
-                        self.append_hop(ev);
-                        if let Some(rec) = self.inflight.get(&ev.uid) {
-                            let port = rec.port;
-                            self.ports[port].channel_mut(ch).record(
+                        if let Some(t) = self.inflight.get_mut(&ev.uid) {
+                            t.push(ev);
+                            self.ports[t.rec.port].channel_mut(ch).record(
                                 visible,
                                 visible.saturating_sub(ev.ref_cycle),
                                 ev.bytes,
@@ -494,15 +566,12 @@ impl MetricsRegistry {
             }
             Hop::Delivered => {
                 let visible = ev.cycle + 1;
-                // Reconstruct the memory-emit hop from the response
-                // beat's `hopped_at` stamp the first time this sub's
-                // response shows up.
-                self.append_mem_responded(ev);
-                self.append_hop(ev);
-                let port = ev
-                    .port
-                    .or_else(|| self.inflight.get(&ev.uid).map(|r| r.port));
-                if let Some(p) = port {
+                let rec_port = self.inflight.get_mut(&ev.uid).map(|t| {
+                    t.push_mem_responded(ev);
+                    t.push(ev);
+                    t.rec.port
+                });
+                if let Some(p) = ev.port.or(rec_port) {
                     // Merged (non-final) B responses never reach the
                     // slave port; only delivered beats count as channel
                     // traffic.
@@ -540,34 +609,8 @@ impl MetricsRegistry {
         self.dropped_txns
     }
 
-    fn append_hop(&mut self, ev: &ObsEvent) {
-        if let Some(rec) = self.inflight.get_mut(&ev.uid) {
-            rec.hops.push(HopStamp {
-                hop: ev.hop,
-                channel: ev.channel,
-                cycle: ev.cycle,
-            });
-        }
-    }
-
-    fn append_mem_responded(&mut self, ev: &ObsEvent) {
-        if let Some(rec) = self.inflight.get_mut(&ev.uid) {
-            let already = rec
-                .hops
-                .iter()
-                .any(|h| h.hop == Hop::MemResponded && h.cycle == ev.ref_cycle);
-            if !already {
-                rec.hops.push(HopStamp {
-                    hop: Hop::MemResponded,
-                    channel: ev.channel,
-                    cycle: ev.ref_cycle,
-                });
-            }
-        }
-    }
-
     fn complete(&mut self, ev: &ObsEvent, visible: Cycle) {
-        if let Some(mut rec) = self.inflight.remove(&ev.uid) {
+        if let Some(Inflight { mut rec, .. }) = self.inflight.remove(&ev.uid) {
             rec.completed_at = Some(visible);
             let latency = visible.saturating_sub(rec.issued_at);
             let stat = if rec.is_write {
@@ -754,11 +797,11 @@ impl BoundReport {
 
 mod persist_impls {
     use super::{
-        BoundKind, BoundReport, BoundViolation, ChannelMetrics, Hop, HopStamp, MetricsRegistry,
-        ObsChannel, PortMetrics, RegulatorMetrics, TxnRecord,
+        BoundKind, BoundReport, BoundViolation, ChannelMetrics, Hop, HopStamp, Inflight,
+        MetricsRegistry, ObsChannel, PortMetrics, RegulatorMetrics, TxnRecord,
     };
     use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
-    use std::collections::{BTreeMap, VecDeque};
+    use std::collections::{HashMap, VecDeque};
 
     /// Discriminant tables: index in the array is the wire encoding, so
     /// the byte stream stays stable as long as new variants are only
@@ -1003,14 +1046,16 @@ mod persist_impls {
     }
 
     impl PersistValue for MetricsRegistry {
-        /// The in-flight table is a `BTreeMap`, so iteration (and hence
-        /// the byte stream) is already sorted by uid — deterministic
-        /// across schedulers by construction.
+        /// In-flight records are written sorted by uid, so the byte
+        /// stream does not depend on the hash table's iteration order
+        /// and is deterministic across schedulers.
         fn save_value(&self, w: &mut SnapshotWriter) {
             self.ports.save_value(w);
             self.master_efifo_occupancy.save_value(w);
-            w.put_usize(self.inflight.len());
-            for rec in self.inflight.values() {
+            let mut inflight: Vec<&TxnRecord> = self.inflight.values().map(|t| &t.rec).collect();
+            inflight.sort_unstable_by_key(|rec| rec.uid);
+            w.put_usize(inflight.len());
+            for rec in inflight {
                 rec.save_value(w);
             }
             w.put_usize(self.completed.len());
@@ -1022,13 +1067,31 @@ mod persist_impls {
             w.put_str(&self.instance);
         }
         fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let ports = Vec::load_value(r)?;
+            let ports: Vec<PortMetrics> = Vec::load_value(r)?;
+            let load_record = |r: &mut SnapshotReader<'_>| {
+                let rec = TxnRecord::load_value(r)?;
+                if rec.port >= ports.len() {
+                    return Err(PersistError::Corrupt(
+                        "transaction record port out of range",
+                    ));
+                }
+                Ok(rec)
+            };
             let master_efifo_occupancy = PersistValue::load_value(r)?;
             let n_inflight = r.take_usize()?;
-            let mut inflight = BTreeMap::new();
+            let mut inflight = HashMap::default();
+            let mut last_uid = None;
             for _ in 0..n_inflight {
-                let rec = TxnRecord::load_value(r)?;
-                inflight.insert(rec.uid, rec);
+                let rec = load_record(r)?;
+                // Saved strictly ascending, which also rules out a
+                // duplicate uid silently replacing an earlier record.
+                if last_uid.is_some_and(|last| rec.uid <= last) {
+                    return Err(PersistError::Corrupt(
+                        "in-flight uids not strictly ascending",
+                    ));
+                }
+                last_uid = Some(rec.uid);
+                inflight.insert(rec.uid, Inflight::new(rec));
             }
             let n_completed = r.take_usize()?;
             if n_completed > super::COMPLETED_RING {
@@ -1036,7 +1099,7 @@ mod persist_impls {
             }
             let mut completed = VecDeque::with_capacity(super::COMPLETED_RING);
             for _ in 0..n_completed {
-                completed.push_back(TxnRecord::load_value(r)?);
+                completed.push_back(load_record(r)?);
             }
             Ok(Self {
                 ports,
@@ -1053,7 +1116,7 @@ mod persist_impls {
     #[cfg(test)]
     mod tests {
         use super::super::*;
-        use sim::persist::{PersistValue, SnapshotReader, SnapshotWriter};
+        use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
 
         #[test]
         fn registry_roundtrip_preserves_json_and_hop_histories() {
@@ -1082,6 +1145,67 @@ mod persist_impls {
             assert_eq!(restored.to_json(), reg.to_json());
             assert_eq!(restored.hops_of(7), reg.hops_of(7));
             assert_eq!(restored.instance(), "root");
+        }
+
+        fn record(uid: u64, port: usize) -> TxnRecord {
+            TxnRecord {
+                uid,
+                port,
+                is_write: false,
+                issued_at: 0,
+                completed_at: None,
+                bytes: 64,
+                hops: Vec::new(),
+            }
+        }
+
+        /// A two-port registry image with the given in-flight records,
+        /// written field by field in the registry's save layout.
+        fn image(inflight: &[TxnRecord]) -> Vec<u8> {
+            let mut w = SnapshotWriter::new();
+            vec![PortMetrics::default(); 2].save_value(&mut w);
+            sim::stats::Gauge::default().save_value(&mut w);
+            inflight.to_vec().save_value(&mut w);
+            w.put_usize(0);
+            w.put_u64(0);
+            w.put_u64(0);
+            w.put_str("");
+            w.into_bytes()
+        }
+
+        fn load(bytes: &[u8]) -> Result<MetricsRegistry, PersistError> {
+            MetricsRegistry::load_value(&mut SnapshotReader::new(bytes))
+        }
+
+        #[test]
+        fn image_helper_matches_the_save_layout() {
+            let mut reg = MetricsRegistry::new(2);
+            for (uid, port) in [(0x802, 1), (0x401, 0)] {
+                reg.inflight.insert(uid, Inflight::new(record(uid, port)));
+            }
+            let mut w = SnapshotWriter::new();
+            reg.save_value(&mut w);
+            let bytes = image(&[record(0x401, 0), record(0x802, 1)]);
+            assert_eq!(w.into_bytes(), bytes);
+            assert_eq!(load(&bytes).expect("valid image"), reg);
+        }
+
+        #[test]
+        fn load_rejects_a_record_port_out_of_range() {
+            let err = load(&image(&[record(0x401, 0), record(0x803, 2)]));
+            assert!(matches!(err, Err(PersistError::Corrupt(_))), "{err:?}");
+        }
+
+        #[test]
+        fn load_rejects_a_duplicate_inflight_uid() {
+            let err = load(&image(&[record(0x401, 0), record(0x401, 0)]));
+            assert!(matches!(err, Err(PersistError::Corrupt(_))), "{err:?}");
+        }
+
+        #[test]
+        fn load_rejects_inflight_uids_out_of_order() {
+            let err = load(&image(&[record(0x802, 1), record(0x401, 0)]));
+            assert!(matches!(err, Err(PersistError::Corrupt(_))), "{err:?}");
         }
     }
 }

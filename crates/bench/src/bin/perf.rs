@@ -231,6 +231,16 @@ fn idle_heavy(mode: SchedulerMode, window: Cycle) -> (f64, u64, Cycle, u64) {
     )
 }
 
+/// Bare/observed pairs the observability probe times. One pair swings
+/// by tens of percent from run to run, so the probe reports medians.
+const OBS_PAIRS: usize = 5;
+
+/// The median of an odd-length sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// The observability probe: the quickstart scenario (two 64 KiB-per-job
 /// DMAs behind a 2-port HyperConnect against `MemConfig::zcu102()`) run
 /// to completion with and without the metrics registry + runtime bound
@@ -480,15 +490,26 @@ fn main() {
          vs fast-forward {ff_ms:.1} ms ({ff_cps:.2e} c/s) — {speedup:.1}x, {skipped} skipped"
     );
 
-    // 3. Observability probe: instrumented vs bare run of the same
-    // scenario, plus the runtime bound monitor's verdict.
-    let (base_ms, _, _) = observed_probe(false);
-    let (obs_ms, obs_cycles, report) = observed_probe(true);
+    // 3. Observability probe: instrumented vs bare runs of the same
+    // scenario, alternating, plus the runtime bound monitor's verdict.
+    // The overhead is the median of the per-pair ratios.
+    let (mut bare, mut observed, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let mut last = None;
+    for _ in 0..OBS_PAIRS {
+        let (base_ms, _, _) = observed_probe(false);
+        let (obs_ms, obs_cycles, report) = observed_probe(true);
+        bare.push(base_ms);
+        observed.push(obs_ms);
+        ratios.push(obs_ms / base_ms.max(1e-9));
+        last = Some((obs_cycles, report));
+    }
+    let (obs_cycles, report) = last.expect("at least one pair");
     let report = report.expect("observability armed");
-    let obs_overhead = obs_ms / base_ms.max(1e-9);
+    let (base_ms, obs_ms, obs_overhead) = (median(bare), median(observed), median(ratios));
     println!(
-        "observability ({obs_cycles} cycles): bare {base_ms:.1} ms vs observed {obs_ms:.1} ms \
-         ({obs_overhead:.2}x), {} reads / {} writes checked, {} violations",
+        "observability ({obs_cycles} cycles, median of {OBS_PAIRS} pairs): bare {base_ms:.1} ms \
+         vs observed {obs_ms:.1} ms ({obs_overhead:.2}x), {} reads / {} writes checked, \
+         {} violations",
         report.checked_reads, report.checked_writes, report.violations
     );
 
@@ -682,7 +703,7 @@ fn main() {
          \"fast_forward_wall_ms\":{ff_ms:.3},\"fast_forward_cycles_per_sec\":{ff_cps:.0},\
          \"skipped_cycles\":{skipped},\"speedup\":{speedup:.2}}},\n\
          \"observability\":{{\"scenario\":\"quickstart 2x8 64 KiB DMA jobs vs zcu102, run to completion\",\
-         \"sim_cycles\":{obs_cycles},\
+         \"sim_cycles\":{obs_cycles},\"pairs\":{OBS_PAIRS},\
          \"bare_wall_ms\":{base_ms:.3},\"observed_wall_ms\":{obs_ms:.3},\
          \"overhead\":{obs_overhead:.3},\"bound_monitor\":{obs_report}}},\n\
          \"alloc_probe\":{alloc_probe_json},\n\
