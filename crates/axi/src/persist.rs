@@ -251,6 +251,9 @@ impl PersistValue for AxiPort {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::RouteQueue;
+    use sim::fifo::DelayQueue;
+    use sim::TimedFifo;
 
     fn roundtrip<T: PersistValue>(v: &T) -> T {
         let mut w = SnapshotWriter::new();
@@ -333,5 +336,54 @@ mod tests {
         assert_eq!(back.occupancy(), 3);
         assert_eq!(back.lifetime_activity(), port.lifetime_activity());
         assert_eq!(back.next_ready_at(), port.next_ready_at());
+    }
+
+    #[test]
+    fn hostile_queue_length_is_corrupt_not_an_allocation() {
+        // Each queue stream is a header of u64 words, capacity first,
+        // then the element count. A count far past the end of the stream
+        // must be rejected before any storage is reserved for it.
+        type Load = fn(&mut SnapshotReader<'_>) -> Result<(), PersistError>;
+        let cases: [(&str, usize, Load); 3] = [
+            // capacity, latency, pushed, popped, max_occupancy
+            ("TimedFifo", 5, |r| {
+                TimedFifo::<ArBeat>::load_value(r).map(drop)
+            }),
+            ("DelayQueue", 1, |r| {
+                DelayQueue::<u64>::load_value(r).map(drop)
+            }),
+            ("RouteQueue", 1, |r| RouteQueue::load_value(r).map(drop)),
+        ];
+        for (name, header_words, load) in cases {
+            let mut w = SnapshotWriter::new();
+            w.put_usize(4);
+            for _ in 1..header_words {
+                w.put_u64(0);
+            }
+            w.put_usize(1 << 50);
+            let bytes = w.into_bytes();
+            let got = load(&mut SnapshotReader::new(&bytes));
+            assert!(
+                matches!(got, Err(PersistError::Corrupt(_))),
+                "{name}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn restored_lifetime_activity_wraps_instead_of_overflowing() {
+        // Five empty channel queues, each restored with `pushed` at half
+        // the u64 range: the fingerprint sum must wrap, not panic.
+        let half = u64::MAX / 2;
+        let mut w = SnapshotWriter::new();
+        for _ in 0..5 {
+            // capacity, latency, pushed, popped, max_occupancy, length
+            for word in [4, 0, half, 0, 0, 0] {
+                w.put_u64(word);
+            }
+        }
+        let bytes = w.into_bytes();
+        let port = AxiPort::load_value(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(port.lifetime_activity(), half.wrapping_mul(5));
     }
 }

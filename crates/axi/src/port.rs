@@ -128,18 +128,24 @@ impl AxiPort {
     /// counters are monotonic, so the sum changes whenever anything
     /// enters or leaves the port — a cheap mutation fingerprint the
     /// fast-forward scheduler uses to detect out-of-band traffic moved
-    /// by simulation hooks.
+    /// by simulation hooks. The sum wraps: restored counters may sit
+    /// anywhere in the `u64` range, and a fingerprint only needs to
+    /// change.
     pub fn lifetime_activity(&self) -> u64 {
-        self.ar.total_pushed()
-            + self.ar.total_popped()
-            + self.aw.total_pushed()
-            + self.aw.total_popped()
-            + self.w.total_pushed()
-            + self.w.total_popped()
-            + self.r.total_pushed()
-            + self.r.total_popped()
-            + self.b.total_pushed()
-            + self.b.total_popped()
+        [
+            self.ar.total_pushed(),
+            self.ar.total_popped(),
+            self.aw.total_pushed(),
+            self.aw.total_popped(),
+            self.w.total_pushed(),
+            self.w.total_popped(),
+            self.r.total_pushed(),
+            self.r.total_popped(),
+            self.b.total_pushed(),
+            self.b.total_popped(),
+        ]
+        .into_iter()
+        .fold(0, u64::wrapping_add)
     }
 
     /// Flushes every channel queue (synchronous reset).

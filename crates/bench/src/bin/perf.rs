@@ -516,7 +516,7 @@ fn main() {
     // 3b. Allocation probe: the contended Fig. 3(b) point (HyperConnect,
     // 4 MiB — a DMA reader saturating the R channel back-to-back) run
     // serially under the counting allocator. Each run builds a fresh
-    // system, so the count includes construction and ring growth to
+    // system, so the count includes construction and queue growth to
     // working occupancy; amortized over the ~1 M simulated cycles a
     // zero-alloc steady state shows up as allocs_per_sim_cycle << 1.
     let probe_bytes = *fig3b::SIZES.last().expect("fig3b has sizes");

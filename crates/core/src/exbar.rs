@@ -15,8 +15,8 @@ use axi::beat::{ArBeat, AwBeat, WBeat};
 use axi::observe::{Hop, ObsChannel, ObsEvent};
 use axi::routing::{RouteEntry, RouteQueue};
 use axi::{AxiPort, Payload};
-use sim::ring::Ring;
 use sim::{Cycle, TimedFifo};
+use std::collections::VecDeque;
 
 use crate::config::ArbitrationPolicy;
 use crate::efifo::EFifo;
@@ -65,9 +65,9 @@ pub struct Exbar {
     /// Grant order of writes — routes B responses back to ports.
     b_routes: RouteQueue,
     /// Grant order of writes — which port supplies the next W beats.
-    /// Ring-buffer slots updated in place (per-beat progress bumps the
-    /// head slot's `moved` counter rather than re-queueing the entry).
-    w_routes: Ring<WRoute>,
+    /// Updated in place: per-beat progress bumps the head entry's
+    /// `moved` counter rather than re-queueing the entry.
+    w_routes: VecDeque<WRoute>,
     /// Strobe-disabled filler beats synthesized for decoupled ports.
     firewall_beats: u64,
     stats: ExbarStats,
@@ -94,7 +94,7 @@ impl Exbar {
             aw_stage: TimedFifo::new(2, 1),
             read_routes: RouteQueue::new(routing_depth),
             b_routes: RouteQueue::new(routing_depth),
-            w_routes: Ring::new(),
+            w_routes: VecDeque::new(),
             firewall_beats: 0,
             stats: ExbarStats {
                 ar_grants: vec![0; num_ports],
@@ -427,8 +427,8 @@ mod persist_impls {
     use crate::config::ArbitrationPolicy;
     use axi::routing::RouteQueue;
     use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
-    use sim::ring::Ring;
     use sim::TimedFifo;
+    use std::collections::VecDeque;
 
     impl PersistValue for WRoute {
         fn save_value(&self, w: &mut SnapshotWriter) {
@@ -487,7 +487,7 @@ mod persist_impls {
                 aw_stage: TimedFifo::load_value(r)?,
                 read_routes: RouteQueue::load_value(r)?,
                 b_routes: RouteQueue::load_value(r)?,
-                w_routes: Ring::load_value(r)?,
+                w_routes: VecDeque::load_value(r)?,
                 firewall_beats: r.take_u64()?,
                 stats: ExbarStats::load_value(r)?,
                 obs_enabled: r.take_bool()?,

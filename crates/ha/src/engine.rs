@@ -7,6 +7,7 @@ use axi::types::{AxiId, BurstSize};
 use axi::{AxiPort, Payload};
 use sim::stats::LatencyStat;
 use sim::Cycle;
+use std::collections::VecDeque;
 
 /// Clamps a burst so it never crosses a 4 KiB boundary: returns the
 /// number of beats (at most `want_beats`) that fit from `addr` to the
@@ -179,7 +180,7 @@ pub struct WriteEngine {
     max_outstanding: u32,
     issued_beats: u64,
     /// W beats still to stream for already-issued AWs: (addr, last).
-    w_backlog: sim::ring::Ring<(u64, bool)>,
+    w_backlog: VecDeque<(u64, bool)>,
     acked_bursts: u64,
     issued_bursts: u64,
     outstanding: u32,
@@ -228,7 +229,7 @@ impl WriteEngine {
             size,
             max_outstanding: 4,
             issued_beats: 0,
-            w_backlog: sim::ring::Ring::new(),
+            w_backlog: VecDeque::new(),
             acked_bursts: 0,
             issued_bursts: 0,
             outstanding: 0,
@@ -417,7 +418,7 @@ impl sim::persist::Persist for WriteEngine {
         self.size = BurstSize::load_value(r)?;
         self.max_outstanding = r.take_u32()?;
         self.issued_beats = r.take_u64()?;
-        self.w_backlog = sim::ring::Ring::load_value(r)?;
+        self.w_backlog = VecDeque::load_value(r)?;
         self.acked_bursts = r.take_u64()?;
         self.issued_bursts = r.take_u64()?;
         self.outstanding = r.take_u32()?;

@@ -1,13 +1,12 @@
 //! Timed FIFO queues — the basic storage/pipelining element of all models.
 //!
-//! Both queue types here are thin timing-policy layers over the flat
-//! power-of-two [`Ring`]: contiguous slots, mask
-//! arithmetic for wrap, and zero heap allocation once a queue has
-//! reached its working occupancy. There is deliberately no `VecDeque`
-//! anywhere on the per-cycle path.
+//! Both queue types here are thin timing-policy layers over a
+//! [`VecDeque`]: the model lives in each entry's `ready_at` stamp, the
+//! storage is a plain ring buffer that grows to the queue's working
+//! occupancy and then allocates nothing more.
 
 use crate::clock::Cycle;
-use crate::ring::Ring;
+use std::collections::VecDeque;
 
 /// Error returned by [`TimedFifo::push`] when the queue is at capacity.
 ///
@@ -40,9 +39,9 @@ impl<T: std::fmt::Debug> std::error::Error for FifoFull<T> {}
 /// pushed at cycle `t` can never be observed before `t + latency`,
 /// regardless of the order in which components are ticked.
 ///
-/// Storage is a contiguous power-of-two ring ([`Ring`]): slots grow by
-/// doubling up to the configured capacity and are then reused forever,
-/// so steady-state push/pop performs no heap allocation.
+/// Storage is a [`VecDeque`] that grows up to the configured capacity
+/// and never shrinks, so steady-state push/pop performs no heap
+/// allocation.
 ///
 /// # Example
 ///
@@ -62,7 +61,7 @@ impl<T: std::fmt::Debug> std::error::Error for FifoFull<T> {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimedFifo<T> {
-    entries: Ring<(Cycle, T)>,
+    entries: VecDeque<(Cycle, T)>,
     capacity: usize,
     latency: Cycle,
     /// Total number of elements ever pushed (for occupancy statistics).
@@ -84,10 +83,10 @@ impl<T> TimedFifo<T> {
         assert!(capacity > 0, "fifo capacity must be non-zero");
         // Storage starts small and doubles toward `capacity` on demand:
         // queues that run at low occupancy (the common case — a couple
-        // of beats in flight) keep their slot array inside a few cache
+        // of beats in flight) keep their buffer inside a few cache
         // lines instead of round-robining the full configured depth.
         Self {
-            entries: Ring::new(),
+            entries: VecDeque::new(),
             capacity,
             latency,
             pushed: 0,
@@ -234,7 +233,7 @@ impl<T> TimedFifo<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DelayQueue<T> {
-    entries: Ring<(Cycle, T)>,
+    entries: VecDeque<(Cycle, T)>,
     capacity: usize,
 }
 
@@ -247,7 +246,7 @@ impl<T> DelayQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be non-zero");
         Self {
-            entries: Ring::new(),
+            entries: VecDeque::new(),
             capacity,
         }
     }
@@ -329,7 +328,7 @@ impl<T: crate::persist::PersistValue> crate::persist::PersistValue for TimedFifo
         let pushed = r.take_u64()?;
         let popped = r.take_u64()?;
         let max_occupancy = r.take_usize()?;
-        let entries = Ring::load_value(r)?;
+        let entries = VecDeque::load_value(r)?;
         if entries.len() > capacity {
             return Err(crate::persist::PersistError::Corrupt(
                 "fifo occupancy exceeds capacity",
@@ -359,7 +358,7 @@ impl<T: crate::persist::PersistValue> crate::persist::PersistValue for DelayQueu
         if capacity == 0 {
             return Err(crate::persist::PersistError::Corrupt("queue capacity zero"));
         }
-        let entries = Ring::load_value(r)?;
+        let entries = VecDeque::load_value(r)?;
         if entries.len() > capacity {
             return Err(crate::persist::PersistError::Corrupt(
                 "queue occupancy exceeds capacity",

@@ -8,10 +8,11 @@
 //!   models a pipeline register (or the paper's *proactive circular
 //!   buffer*, which accepts data every cycle and exposes it one cycle
 //!   later); a `TimedFifo` with latency 0 models a combinational wire with
-//!   storage.
-//! * [`Runner`] — drives a [`Component`] cycle by cycle until a predicate
-//!   holds, with deadlock detection based on progress reporting.
-//! * Statistics ([`stats::Counter`], [`stats::LatencyStat`],
+//!   storage. Its storage, like every queue's in the workspace, is a
+//!   `std::collections::VecDeque`.
+//! * [`Component`] — the one-cycle tick interface every model implements,
+//!   and [`RunOutcome`], how a bounded run ended.
+//! * Statistics ([`stats::CounterBank`], [`stats::LatencyStat`],
 //!   [`stats::Histogram`], [`stats::BandwidthMeter`]) used to produce the
 //!   numbers reported in the paper's figures.
 //! * [`SimRng`] — a seeded RNG wrapper so every experiment is reproducible.
@@ -35,17 +36,15 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod component;
 pub mod fifo;
 pub mod persist;
-pub mod ring;
 pub mod rng;
-pub mod runner;
 pub mod stats;
 pub mod vcd;
 
 pub use clock::{ClockConfig, Cycle};
+pub use component::{Component, RunOutcome};
 pub use fifo::{FifoFull, TimedFifo};
 pub use persist::{Persist, PersistError, PersistValue, Snapshot, SnapshotReader, SnapshotWriter};
-pub use ring::Ring;
 pub use rng::SimRng;
-pub use runner::{Component, RunOutcome, Runner, StallDiagnostics};

@@ -2,56 +2,12 @@
 
 use crate::clock::Cycle;
 
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use sim::stats::Counter;
-///
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` events, saturating at `u64::MAX`.
-    ///
-    /// Saturating rather than wrapping/panicking: fast-forwarded runs
-    /// cover billions of cycles and a debug-build overflow panic in a
-    /// metrics counter must never abort a simulation.
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Adds one event, saturating at `u64::MAX`.
-    pub fn incr(&mut self) {
-        self.value = self.value.saturating_add(1);
-    }
-
-    /// The current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Resets the count to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-/// A fixed-size bank of [`Counter`]s indexed by a small category index
+/// A fixed-size bank of event counters indexed by a small category index
 /// (e.g. a violation-kind discriminant).
+///
+/// Counts saturate at `u64::MAX` rather than wrapping or panicking:
+/// fast-forwarded runs cover billions of cycles and a debug-build
+/// overflow panic in a metrics counter must never abort a simulation.
 ///
 /// The bank is deliberately index-typed rather than enum-typed so the
 /// simulation kernel stays independent of the protocol layers that
@@ -71,14 +27,14 @@ impl Counter {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterBank {
-    counters: Vec<Counter>,
+    counters: Vec<u64>,
 }
 
 impl CounterBank {
     /// Creates a bank of `categories` counters, all at zero.
     pub fn new(categories: usize) -> Self {
         Self {
-            counters: vec![Counter::new(); categories],
+            counters: vec![0; categories],
         }
     }
 
@@ -98,7 +54,7 @@ impl CounterBank {
     ///
     /// Panics if `idx` is out of range.
     pub fn incr(&mut self, idx: usize) {
-        self.counters[idx].incr();
+        self.add(idx, 1);
     }
 
     /// Adds `n` events to category `idx`.
@@ -107,29 +63,27 @@ impl CounterBank {
     ///
     /// Panics if `idx` is out of range.
     pub fn add(&mut self, idx: usize, n: u64) {
-        self.counters[idx].add(n);
+        self.counters[idx] = self.counters[idx].saturating_add(n);
     }
 
     /// Count in category `idx`, or zero when out of range.
     pub fn get(&self, idx: usize) -> u64 {
-        self.counters.get(idx).map_or(0, Counter::value)
+        self.counters.get(idx).copied().unwrap_or(0)
     }
 
     /// Sum over all categories.
     pub fn total(&self) -> u64 {
-        self.counters.iter().map(Counter::value).sum()
+        self.counters.iter().sum()
     }
 
     /// Per-category counts in index order.
     pub fn values(&self) -> Vec<u64> {
-        self.counters.iter().map(Counter::value).collect()
+        self.counters.clone()
     }
 
     /// Resets every category to zero.
     pub fn reset(&mut self) {
-        for c in &mut self.counters {
-            c.reset();
-        }
+        self.counters.fill(0);
     }
 }
 
@@ -514,17 +468,6 @@ mod persist_impls {
     use super::*;
     use crate::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
 
-    impl PersistValue for Counter {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.value);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                value: r.take_u64()?,
-            })
-        }
-    }
-
     impl PersistValue for CounterBank {
         fn save_value(&self, w: &mut SnapshotWriter) {
             self.counters.save_value(w);
@@ -616,16 +559,6 @@ mod persist_impls {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates_and_resets() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        c.reset();
-        assert_eq!(c.value(), 0);
-    }
 
     #[test]
     fn counter_bank_indexes_and_totals() {
@@ -750,13 +683,13 @@ mod tests {
     }
 
     #[test]
-    fn counter_saturates_instead_of_overflowing() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.incr();
-        c.incr(); // would overflow with bare `+=`
-        c.add(7);
-        assert_eq!(c.value(), u64::MAX);
+    fn counter_bank_saturates_instead_of_overflowing() {
+        let mut bank = CounterBank::new(1);
+        bank.add(0, u64::MAX - 1);
+        bank.incr(0);
+        bank.incr(0); // would overflow with bare `+=`
+        bank.add(0, 7);
+        assert_eq!(bank.get(0), u64::MAX);
     }
 
     #[test]
